@@ -7,13 +7,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/identity.h"
 #include "core/fedadmm.h"
+#include "fl/algorithms/scaffold.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
+#include "fl/staleness.h"
+#include "sys/system_model.h"
 
 namespace fedadmm {
 namespace {
@@ -171,6 +178,189 @@ TEST(DeterministicReplayTest, LossyCodecChangesThetaButNotAccounting) {
         exact.history.records()[static_cast<size_t>(i)].upload_bytes_raw,
         lossy.history.records()[static_cast<size_t>(i)].upload_bytes_raw);
   }
+}
+
+// --- Cross-version pin: the digests below were computed by the engine
+// before its sync and event loops were merged, so a refactor of the loop
+// that changes any bit of θ or of a deterministic record field fails
+// here. Every cell runs on the `lazy` store. The pin assumes the host's
+// floating-point results match the machine that produced the digests,
+// the same assumption the perf rails' exact `*_sim_seconds` gates make;
+// the cross-ISA contract (FEDADMM_FORCE_SCALAR=1) must give the same
+// digests.
+
+// FNV-1a over raw bytes.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  // NaN sentinels hash as one canonical pattern.
+  void Double(double v) {
+    if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+    Bytes(&v, sizeof(v));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// θ's bits plus every deterministic RoundRecord field (wall_seconds is
+// the only host-dependent one).
+uint64_t TrajectoryDigest(const std::vector<float>& theta,
+                          const History& history) {
+  Fnv1a h;
+  h.Bytes(theta.data(), theta.size() * sizeof(float));
+  for (const RoundRecord& r : history.records()) {
+    h.Int(r.round);
+    h.Int(r.num_selected);
+    h.Double(r.train_loss);
+    h.Double(r.test_accuracy);
+    h.Double(r.test_loss);
+    h.Int(r.upload_bytes);
+    h.Int(r.download_bytes);
+    h.Int(r.upload_bytes_raw);
+    h.Int(r.download_bytes_raw);
+    h.Double(r.sim_seconds);
+    h.Int(r.num_dropped);
+    h.Int(r.num_admitted_partial);
+    h.Double(r.staleness_mean);
+    h.Int(r.staleness_max);
+    h.Int(r.state_bytes_resident);
+  }
+  return h.value();
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Deadlines (seconds) inside the cellular fleet's per-client spread at
+// this problem size, so both straggler paths fire.
+constexpr double kPartialDeadline = 0.1;
+constexpr double kDropDeadline = 0.12;
+
+// One pinned configuration. Empty strings leave the knob unset: no
+// system model, no codec, the engine's default staleness weight.
+struct PinCell {
+  bool scaffold = false;
+  ExecutionMode mode = ExecutionMode::kSync;
+  std::string policy;
+  double deadline = -1.0;
+  std::string uplink;
+  std::string downlink;
+  std::string staleness;
+  int buffer_size = 0;
+};
+
+struct PinOutput {
+  uint64_t digest = 0;
+  int dropped = 0;
+  int partial = 0;
+};
+
+PinOutput RunPinCell(const PinCell& cell) {
+  QuadraticProblem problem(Spec());
+  FedAdmmOptions options = Options();
+  // Event modes require the |S_t|/m server step (eta guardrail).
+  options.eta_active_fraction = cell.mode != ExecutionMode::kSync;
+  std::unique_ptr<FederatedAlgorithm> algo;
+  if (cell.scaffold) {
+    algo = std::make_unique<Scaffold>(options.local);
+  } else {
+    algo = std::make_unique<FedAdmm>(options);
+  }
+  UniformFractionSelector selector(12, 0.5);
+  SimulationConfig config;
+  config.max_rounds = 10;
+  config.seed = 7;
+  config.num_threads = 3;
+  config.state_store = "lazy";
+  config.mode = cell.mode;
+  config.buffer_size = cell.buffer_size;
+  if (!cell.staleness.empty()) {
+    config.staleness_weight = MakeStalenessWeight(cell.staleness).ValueOrDie();
+  }
+  std::unique_ptr<SystemModel> model;
+  if (!cell.policy.empty()) {
+    model = std::make_unique<SystemModel>(
+        FleetModel::FromPreset("cellular", 12, 3).ValueOrDie(),
+        MakeStragglerPolicy(cell.policy, cell.deadline).ValueOrDie());
+  }
+  std::unique_ptr<UpdateCodec> uplink;
+  std::unique_ptr<UpdateCodec> downlink;
+  if (!cell.uplink.empty()) {
+    uplink = MakeUpdateCodec(cell.uplink).ValueOrDie();
+  }
+  if (!cell.downlink.empty()) {
+    downlink = MakeUpdateCodec(cell.downlink).ValueOrDie();
+  }
+  Simulation sim(&problem, algo.get(), &selector, config);
+  sim.set_system_model(model.get());
+  sim.set_uplink_codec(uplink.get());
+  sim.set_downlink_codec(downlink.get());
+  const History history = std::move(sim.Run()).ValueOrDie();
+  PinOutput out;
+  out.digest = TrajectoryDigest(sim.theta(), history);
+  for (const RoundRecord& r : history.records()) {
+    out.dropped += r.num_dropped;
+    out.partial += r.num_admitted_partial;
+  }
+  return out;
+}
+
+TEST(DeterministicReplayTest, TrajectoriesMatchPinnedDigests) {
+  struct Case {
+    const char* name;
+    PinCell cell;
+    uint64_t expected;
+  };
+  PinCell partial_q8;
+  partial_q8.policy = "deadline-admit-partial";
+  partial_q8.deadline = kPartialDeadline;
+  partial_q8.uplink = "q8";
+  partial_q8.downlink = "q8";
+  PinCell drop_ef;
+  drop_ef.policy = "deadline-drop";
+  drop_ef.deadline = kDropDeadline;
+  drop_ef.uplink = "ef:topk10";
+  PinCell scaffold;
+  scaffold.scaffold = true;
+  PinCell buffered;
+  buffered.mode = ExecutionMode::kBuffered;
+  buffered.policy = "deadline-admit-partial";
+  buffered.deadline = kPartialDeadline;
+  buffered.buffer_size = 3;
+  buffered.staleness = "poly:1";
+  PinCell async;
+  async.mode = ExecutionMode::kAsync;
+  async.policy = "wait-for-all";
+  const Case cases[] = {
+      {"sync", PinCell{}, 0xce9b9797f3f2fad1ULL},
+      {"sync partial q8/q8", partial_q8, 0x88559b9cbd1f96b6ULL},
+      {"sync drop ef:topk10", drop_ef, 0xd46d087354ba5c01ULL},
+      {"scaffold sync", scaffold, 0xb043f4ad2865ec3dULL},
+      {"buffered partial poly:1", buffered, 0x875f03d0ab237445ULL},
+      {"async", async, 0x97295ca2489f1ad5ULL},
+  };
+  for (const Case& c : cases) {
+    const PinOutput out = RunPinCell(c.cell);
+    EXPECT_EQ(Hex(out.digest), Hex(c.expected)) << c.name;
+  }
+  // The deadline cells must actually exercise the straggler paths.
+  EXPECT_GT(RunPinCell(partial_q8).partial, 0);
+  EXPECT_GT(RunPinCell(drop_ef).dropped, 0);
+  const PinOutput event = RunPinCell(buffered);
+  EXPECT_GT(event.partial, 0);
+  EXPECT_GT(event.dropped, 0);
 }
 
 }  // namespace
