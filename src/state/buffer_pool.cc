@@ -72,8 +72,7 @@ void BufferPool::Evict(uint64_t key) {
   if (it == map_.end() || frames_[it->second]->pinned) return;
   const size_t index = it->second;
   EvictIndex(index);
-  free_.push_back(index);
-  --resident_frames_;
+  FreeFrame(index);
 }
 
 void BufferPool::Clear() {
@@ -86,30 +85,26 @@ void BufferPool::Clear() {
 }
 
 size_t BufferPool::AcquireFrame() {
-  if (!free_.empty()) {
-    const size_t index = free_.back();
-    free_.pop_back();
-    Frame* frame = frames_[index].get();
-    if (frame->data.empty()) {
-      frame->data.resize(static_cast<size_t>(frame_floats_));
-    }
-    ++resident_frames_;
-    return index;
-  }
-  if (static_cast<int64_t>(frames_.size()) >= capacity_frames_) {
+  // At capacity a miss swaps out a victim. The pool grows past capacity
+  // only when every frame is pinned (an overflow frame; Unpin trims it).
+  if (resident_frames_ >= capacity_frames_) {
     const size_t victim = FindVictim();
     if (victim != kNoVictim) {
       EvictIndex(victim);
       return victim;  // resident count unchanged: slab swapped, not freed
     }
   }
-  // Every frame is pinned (or the pool is still filling): allocate. Beyond
-  // capacity this is an overflow frame; Unpin trims it back.
-  auto frame = std::make_unique<Frame>();
-  frame->data.resize(static_cast<size_t>(frame_floats_));
-  frames_.push_back(std::move(frame));
+  size_t index = 0;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    frames_.push_back(std::make_unique<Frame>());
+    index = frames_.size() - 1;
+  }
+  frames_[index]->data.resize(static_cast<size_t>(frame_floats_));
   ++resident_frames_;
-  return frames_.size() - 1;
+  return index;
 }
 
 size_t BufferPool::FindVictim() {
@@ -149,13 +144,17 @@ void BufferPool::TrimOverflow() {
     const size_t victim = FindVictim();
     if (victim == kNoVictim) return;
     EvictIndex(victim);
-    // Overflow trim really frees the buffer: resident bytes shrink back
-    // to the configured capacity, not just the mapping.
-    Frame* frame = frames_[victim].get();
-    AlignedVector<float>().swap(frame->data);
-    free_.push_back(victim);
-    --resident_frames_;
+    FreeFrame(victim);
   }
+}
+
+void BufferPool::FreeFrame(size_t index) {
+  // Really free the buffer: resident bytes shrink with the frame count,
+  // and an empty frame is never a FindVictim candidate while it waits on
+  // the free list.
+  AlignedVector<float>().swap(frames_[index]->data);
+  free_.push_back(index);
+  --resident_frames_;
 }
 
 }  // namespace fedadmm

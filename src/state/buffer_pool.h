@@ -101,8 +101,9 @@ class BufferPool {
   int64_t write_backs() const { return write_backs_; }
 
  private:
-  /// Hands back a frame for a missing key: a free frame, an eviction
-  /// victim, or a fresh overflow frame.
+  /// Hands back a frame for a missing key: an eviction victim at
+  /// capacity, otherwise a free or fresh frame (past capacity only when
+  /// every frame is pinned).
   size_t AcquireFrame();
   /// Runs the clock hand; returns the victim index or SIZE_MAX when every
   /// frame is pinned.
@@ -112,6 +113,8 @@ class BufferPool {
   /// Releases overflow buffers while more than `capacity_frames_` frames
   /// hold data and evictable frames exist.
   void TrimOverflow();
+  /// Releases an evicted frame's buffer and parks it on the free list.
+  void FreeFrame(size_t index);
 
   int64_t capacity_frames_;
   int64_t frame_floats_;

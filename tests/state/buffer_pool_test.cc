@@ -156,6 +156,27 @@ TEST(BufferPoolTest, AdmitIsUnpinnedAndEvictable) {
   EXPECT_TRUE(hit);
 }
 
+TEST(BufferPoolTest, AdmitAfterOverflowTrimStaysWithinCapacity) {
+  // An overflow trim parks the released frame on the free list. A later
+  // miss at capacity must recycle a victim, not take that free frame.
+  BufferPool pool(1, kFrameFloats, nullptr);
+  bool hit = false;
+  pool.Pin(1, &hit);
+  pool.Pin(2, &hit);  // every frame pinned: one overflow frame
+  pool.Unpin(1, false);
+  pool.Unpin(2, false);
+  ASSERT_EQ(pool.resident_frames(), 1);
+  pool.Admit(3, &hit);
+  EXPECT_EQ(pool.resident_frames(), 1);
+  EXPECT_EQ(pool.resident_bytes(), pool.frame_bytes());
+  EXPECT_NE(pool.Find(3), nullptr);
+  // A pin on a full pool recycles a victim too.
+  pool.Pin(4, &hit);
+  EXPECT_EQ(pool.resident_frames(), 1);
+  pool.Unpin(4, false);
+  EXPECT_EQ(pool.resident_frames(), 1);
+}
+
 TEST(BufferPoolTest, ClearDropsFramesAndCounters) {
   int write_backs = 0;
   BufferPool pool(2, kFrameFloats,
