@@ -18,6 +18,7 @@
 #define FEDADMM_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -251,6 +252,24 @@ inline std::unique_ptr<FederatedAlgorithm> MakeBenchAlgorithm(
   FEDADMM_CHECK_MSG(name == "SCAFFOLD",
                     "MakeBenchAlgorithm: unknown algorithm");
   return std::make_unique<Scaffold>(BenchLocalSpec());
+}
+
+/// The perf-rail output path from FEDADMM_BENCH_JSON. There is no default:
+/// a default file name, run from the repository root, would silently
+/// overwrite the committed baseline of the same name. Exits with status 2
+/// and a message naming the variable when it is unset or empty, before
+/// the bench spends any time.
+inline std::string RequiredBenchJsonPath() {
+  const std::string path = GetEnvString("FEDADMM_BENCH_JSON", "");
+  if (path.empty()) {
+    std::fprintf(stderr,
+                 "FEDADMM_BENCH_JSON is not set: name the JSON file this "
+                 "rail writes (for example fresh_BENCH_<rail>.json); there "
+                 "is no default, so a run cannot overwrite a committed "
+                 "baseline\n");
+    std::exit(2);
+  }
+  return path;
 }
 
 /// Prints a section header.

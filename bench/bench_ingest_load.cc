@@ -22,7 +22,7 @@
 /// matches — the serving frontend must be invisible to the training run.
 ///
 /// Output: a summary table on stdout and the persisted perf rail
-/// (FEDADMM_BENCH_JSON, default "BENCH_ingest.json"): deterministic
+/// (FEDADMM_BENCH_JSON, required — no default): deterministic
 /// `*_count`/`*_bytes` metrics gate exactly in tools/bench_diff; ingest
 /// latency percentiles (per-shard serve/ingest_seconds histograms,
 /// admission → slot resolution) and updates/sec ride the wall-clock
@@ -240,6 +240,7 @@ int main() {
   using namespace fedadmm;
   using namespace fedadmm::bench;
 
+  const std::string json_path = RequiredBenchJsonPath();
   const int sessions =
       static_cast<int>(GetEnvInt("FEDADMM_BENCH_SESSIONS", 12000));
   const int64_t dim = GetEnvInt("FEDADMM_BENCH_STATE_DIM", 64);
@@ -389,8 +390,6 @@ int main() {
   eq->AddMetric("inproc_wall_seconds", inproc_wall);
   eq->AddMetric("served_wall_seconds", served.wall_seconds);
 
-  const std::string json_path =
-      GetEnvString("FEDADMM_BENCH_JSON", "BENCH_ingest.json");
   if (!recorder.WriteFile(json_path).ok()) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;

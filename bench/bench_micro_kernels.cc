@@ -5,9 +5,9 @@
 ///
 /// Besides the usual console table, every run tees its results into the
 /// obs perf rail (obs/bench_recorder.h): per-iteration real/CPU seconds
-/// land in a BENCH_kernels.json document (FEDADMM_BENCH_JSON, default
-/// "BENCH_kernels.json") that `tools/bench_diff` gates against the
-/// committed baseline at the repo root.
+/// land in a BENCH_kernels.json document (FEDADMM_BENCH_JSON, required —
+/// no default) that `tools/bench_diff` gates against the committed
+/// baseline at the repo root.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "comm/quantize.h"
 #include "core/fedadmm.h"
 #include "fl/algorithm.h"
@@ -367,6 +368,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 }  // namespace fedadmm
 
 int main(int argc, char** argv) {
+  const std::string json_path = fedadmm::bench::RequiredBenchJsonPath();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
@@ -381,8 +383,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const std::string json_path =
-      fedadmm::GetEnvString("FEDADMM_BENCH_JSON", "BENCH_kernels.json");
   if (!recorder.WriteFile(json_path).ok()) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;

@@ -25,7 +25,7 @@
 /// columns (wall_seconds forced to 0).
 ///
 /// Besides stdout + CSV, each W lands one row in the obs perf rail
-/// (BENCH_shard_scale.json via FEDADMM_BENCH_JSON): deterministic resident
+/// (FEDADMM_BENCH_JSON, required): deterministic resident
 /// bytes and aggregation counts gate at 0% in tools/bench_diff, the run's
 /// wall seconds plus the engine's per-phase aggregate latency histogram
 /// (obs metrics registry, reset per W) at the wall-clock tolerance.
@@ -34,7 +34,7 @@
 /// (default "1,2,4,8"), FEDADMM_BENCH_THREADS (default 8),
 /// FEDADMM_BENCH_STORE (default "lazy"), FEDADMM_BENCH_STATE_DIM (default
 /// 128), FEDADMM_BENCH_ROUNDS, FEDADMM_BENCH_SCALE, FEDADMM_BENCH_CSV,
-/// FEDADMM_BENCH_JSON (default "BENCH_shard_scale.json").
+/// FEDADMM_BENCH_JSON (required — no default).
 
 #include <chrono>
 #include <cinttypes>
@@ -85,6 +85,7 @@ int main() {
   using namespace fedadmm::bench;
   using Clock = std::chrono::steady_clock;
 
+  const std::string json_path = RequiredBenchJsonPath();
   const int clients =
       static_cast<int>(GetEnvInt("FEDADMM_BENCH_CLIENTS", 1000000));
   const int64_t dim = GetEnvInt("FEDADMM_BENCH_STATE_DIM", 128);
@@ -235,8 +236,6 @@ int main() {
     std::fprintf(stderr, "CSV close failed\n");
     return 1;
   }
-  const std::string json_path =
-      GetEnvString("FEDADMM_BENCH_JSON", "BENCH_shard_scale.json");
   if (!recorder.WriteFile(json_path).ok()) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;

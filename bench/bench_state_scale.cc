@@ -44,7 +44,7 @@
 /// context column ahead of the canonical fl/history_csv round columns
 /// (wall_seconds forced to 0) — two runs with identical knobs produce
 /// byte-identical files — and the persisted perf rail
-/// (FEDADMM_BENCH_JSON, default "BENCH_state_scale.json"): per-store rows
+/// (FEDADMM_BENCH_JSON, required — no default): per-store rows
 /// with exact-gated deterministic metrics (`*_bytes`, `*_count`) plus
 /// informational pool/prefetch rates (hit/miss ordering depends on how
 /// the prefetch tasks race the next wave, so those never gate).
@@ -94,6 +94,7 @@ int main() {
   using namespace fedadmm::bench;
   using Clock = std::chrono::steady_clock;
 
+  const std::string json_path = RequiredBenchJsonPath();
   const int clients =
       static_cast<int>(GetEnvInt("FEDADMM_BENCH_CLIENTS", 100000));
   const int64_t dim = GetEnvInt("FEDADMM_BENCH_STATE_DIM", 128);
@@ -327,8 +328,6 @@ int main() {
     std::fprintf(stderr, "CSV close failed\n");
     return 1;
   }
-  const std::string json_path =
-      GetEnvString("FEDADMM_BENCH_JSON", "BENCH_state_scale.json");
   if (!recorder.WriteFile(json_path).ok()) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;

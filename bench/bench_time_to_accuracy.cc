@@ -38,7 +38,7 @@
 /// at 0% in tools/bench_diff, accuracies ride along as informational.
 ///
 /// Knobs: FEDADMM_BENCH_ROUNDS, FEDADMM_BENCH_SCALE, FEDADMM_BENCH_CSV,
-/// FEDADMM_BENCH_JSON (default "BENCH_time_to_accuracy.json"),
+/// FEDADMM_BENCH_JSON (required — no default),
 /// FEDADMM_BENCH_DEADLINE_PCTL (percentile of full-work client time used as
 /// the round deadline, default 60), FEDADMM_BENCH_CODECS (comma-separated
 /// uplink codec specs, default "identity,q8,topk10"; see comm/codec.h),
@@ -159,6 +159,7 @@ void PrintRow(const char* preset, const std::string& policy,
 }  // namespace
 
 int main() {
+  const std::string json_path = RequiredBenchJsonPath();
   char title[128];
   std::snprintf(title, sizeof(title),
                 "Time-to-accuracy under system heterogeneity "
@@ -347,8 +348,6 @@ int main() {
     std::fprintf(stderr, "CSV close failed\n");
     return 1;
   }
-  const std::string json_path =
-      GetEnvString("FEDADMM_BENCH_JSON", "BENCH_time_to_accuracy.json");
   if (!recorder.WriteFile(json_path).ok()) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
