@@ -108,9 +108,4 @@ void CommPipeline::EncodeUplink(int wave, UpdateMessage* msg) {
   }
 }
 
-void CommPipeline::EncodeUplinkAll(int wave,
-                                   std::vector<UpdateMessage>* updates) {
-  for (UpdateMessage& msg : *updates) EncodeUplink(wave, &msg);
-}
-
 }  // namespace fedadmm

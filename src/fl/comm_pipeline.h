@@ -56,9 +56,6 @@ class CommPipeline {
   /// without an uplink codec.
   void EncodeUplink(int wave, UpdateMessage* msg);
 
-  /// `EncodeUplink` over a batch, in index order (the sync path).
-  void EncodeUplinkAll(int wave, std::vector<UpdateMessage>* updates);
-
   bool has_uplink() const { return uplink_ != nullptr; }
   bool has_downlink() const { return downlink_ != nullptr; }
 

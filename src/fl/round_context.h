@@ -1,12 +1,11 @@
 /// \file round_context.h
-/// \brief Per-round working state shared by the engine's stages.
+/// \brief The per-wave downlink plan shared by the engine's stages.
 ///
-/// One `RoundContext` is built per aggregation round (sync) or dispatch
-/// wave (buffered / async): the selector's draw, the downlink plan produced
-/// by `CommPipeline`, and the in-flight update messages. Splitting this out
-/// of the old `Simulation::Run()` monolith lets the stages — selection,
-/// downlink, client execution, admission, uplink, aggregation — compose
-/// without sharing a 200-line function body.
+/// Every dispatch wave (fl/server_loop.h) — a sync round's cohort or an
+/// event-mode replacement — starts with one `DownlinkPlan` from
+/// `CommPipeline::PrepareDownlink`: the broadcast the wave's clients train
+/// on and what it costs each of them. A serving frontend receives the same
+/// plan through `IngestSource::BeginRound` (fl/ingest.h).
 
 #ifndef FEDADMM_FL_ROUND_CONTEXT_H_
 #define FEDADMM_FL_ROUND_CONTEXT_H_
@@ -14,9 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "fl/types.h"
-#include "util/shard.h"
 
 namespace fedadmm {
 
@@ -43,34 +39,6 @@ struct DownlinkPlan {
   const std::vector<float>& ThetaForClients(
       const std::vector<float>& theta) const {
     return use_broadcast ? broadcast : theta;
-  }
-};
-
-/// \brief One round's (or dispatch wave's) working state.
-struct RoundContext {
-  /// Round index (sync) or wave id (event modes); keys all RNG streams.
-  int round = 0;
-  /// Aggregation-server worker count this wave runs under
-  /// (SimulationConfig::num_shards; 1 = unsharded).
-  int num_shards = 1;
-  /// The selector's draw for this round/wave.
-  std::vector<int> selected;
-  /// Downlink billing + broadcast for this round/wave.
-  DownlinkPlan downlink;
-  /// Client updates, parallel to `selected` until admission filters them.
-  std::vector<UpdateMessage> updates;
-
-  /// Selected clients per shard (size num_shards) — the wave's worker
-  /// load-balance, for diagnostics and the shard-scale bench.
-  std::vector<int> ShardLoads() const {
-    std::vector<int> loads(static_cast<size_t>(num_shards < 1 ? 1
-                                                              : num_shards),
-                           0);
-    for (const int client : selected) {
-      ++loads[static_cast<size_t>(ShardOfClient(
-          client, static_cast<int>(loads.size())))];
-    }
-    return loads;
   }
 };
 

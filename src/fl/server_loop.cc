@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
+#include "fl/history_csv.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,131 +20,85 @@
 namespace fedadmm {
 namespace {
 
-// Fork tags for the selection and init streams; the codec tags live in
-// fl/comm_pipeline.cc and the client tag in fl/client_executor.cc. All five
-// are pairwise distinct, so no stage can perturb another's stream.
+// Selection and init stream tags, distinct from the codec and client tags
+// (fl/comm_pipeline.cc, fl/client_executor.cc): no stage perturbs another.
 constexpr uint64_t kSelectionTag = 0x5E1EC7;
 constexpr uint64_t kInitTag = 0x1417;
 
-// Mean training loss over aggregated updates; NaN when nothing aggregated
-// (the record's established skipped-metric sentinel).
+// Checkpoint mode tags: sync and event blobs never restore each other.
+constexpr uint8_t kCheckpointSyncTag = 1;
+constexpr uint8_t kCheckpointEventTag = 2;
+
+// Mean training loss; NaN (the skipped-metric sentinel) when empty.
 double MeanTrainLoss(double loss_sum, size_t count) {
   return count == 0 ? std::numeric_limits<double>::quiet_NaN()
                     : loss_sum / static_cast<double>(count);
 }
 
-// Scales both payload vectors in place (deadline partial admissions and
-// staleness discounts).
+// Scales both payload vectors (partial admissions, staleness discounts).
 void ScalePayload(float scale, UpdateMessage* msg) {
   for (float& v : msg->delta) v *= scale;
   for (float& v : msg->delta2) v *= scale;
 }
 
-// Fraction-aware download billing: a client dropped before its download
-// completed is billed only the bytes that reached it by the cut-off.
+// Bills the fraction of a download that arrived before the cut-off.
 int64_t BilledBytes(double fraction, int64_t per_client) {
   if (fraction >= 1.0) return per_client;
   return static_cast<int64_t>(
       std::llround(fraction * static_cast<double>(per_client)));
 }
 
-// Cached handles into the global metrics registry (stable for the process
-// lifetime). The per-round phase histograms are the engine's time budget:
-// select → dispatch (downlink encode + client wave + size prediction) →
-// aggregate (admission + uplink encode + ServerUpdate) → finalize (eval +
-// bookkeeping).
+// Cached registry handles. The phase histograms are the engine's time
+// budget: select → dispatch (downlink + client wave) → aggregate (record +
+// server step) → finalize (eval + bookkeeping).
 struct EngineMetrics {
-  obs::Counter* rounds;
-  obs::Counter* clients_selected;
-  obs::Counter* clients_dropped;
-  obs::Counter* clients_admitted_partial;
-  obs::Gauge* state_bytes_resident;
-  obs::Histogram* phase_select;
-  obs::Histogram* phase_dispatch;
-  obs::Histogram* phase_aggregate;
-  obs::Histogram* phase_finalize;
+  obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
+  obs::Counter* rounds = r.counter("server/rounds_count");
+  obs::Counter* selected = r.counter("server/clients_selected_count");
+  obs::Counter* dropped = r.counter("server/clients_dropped_count");
+  obs::Counter* partial = r.counter("server/clients_admitted_partial_count");
+  obs::Gauge* state_bytes_resident = r.gauge("server/state_bytes_resident");
+  obs::Histogram* phase_select = r.histogram("server/phase/select_seconds");
+  obs::Histogram* phase_dispatch =
+      r.histogram("server/phase/dispatch_seconds");
+  obs::Histogram* phase_aggregate =
+      r.histogram("server/phase/aggregate_seconds");
+  obs::Histogram* phase_finalize =
+      r.histogram("server/phase/finalize_seconds");
 };
 
 EngineMetrics& Metrics() {
-  static EngineMetrics* metrics = [] {
-    auto& registry = obs::MetricsRegistry::Global();
-    auto* m = new EngineMetrics();
-    m->rounds = registry.counter("server/rounds_count");
-    m->clients_selected = registry.counter("server/clients_selected_count");
-    m->clients_dropped = registry.counter("server/clients_dropped_count");
-    m->clients_admitted_partial =
-        registry.counter("server/clients_admitted_partial_count");
-    m->state_bytes_resident = registry.gauge("server/state_bytes_resident");
-    m->phase_select = registry.histogram("server/phase/select_seconds");
-    m->phase_dispatch = registry.histogram("server/phase/dispatch_seconds");
-    m->phase_aggregate = registry.histogram("server/phase/aggregate_seconds");
-    m->phase_finalize = registry.histogram("server/phase/finalize_seconds");
-    return m;
-  }();
+  static EngineMetrics* metrics = new EngineMetrics();
   return *metrics;
 }
 
-// Checkpoint engine-blob mode tags: a sync blob must never restore an
-// event-mode run (and vice versa) — the layouts differ after the common
-// head.
-constexpr uint8_t kCheckpointSyncTag = 1;
-constexpr uint8_t kCheckpointEventTag = 2;
+// Checkpoint ints (counts, ids, counters; all non-negative) travel as u32.
+void WriteInt(int v, ByteWriter* w) { w->U32(static_cast<uint32_t>(v)); }
 
-void WriteRoundRecord(const RoundRecord& r, ByteWriter* w) {
-  w->U32(static_cast<uint32_t>(r.round));
-  w->U32(static_cast<uint32_t>(r.num_selected));
-  w->F64(r.train_loss);
-  w->F64(r.test_accuracy);
-  w->F64(r.test_loss);
-  w->I64(r.upload_bytes);
-  w->I64(r.download_bytes);
-  w->I64(r.upload_bytes_raw);
-  w->I64(r.download_bytes_raw);
-  w->F64(r.wall_seconds);
-  w->F64(r.sim_seconds);
-  w->U32(static_cast<uint32_t>(r.num_dropped));
-  w->U32(static_cast<uint32_t>(r.num_admitted_partial));
-  w->F64(r.staleness_mean);
-  w->U32(static_cast<uint32_t>(r.staleness_max));
-  w->I64(r.state_bytes_resident);
+Status ReadInt(ByteReader* reader, int* out) {
+  FEDADMM_ASSIGN_OR_RETURN(uint32_t v, reader->U32());
+  *out = static_cast<int>(v);
+  return Status::OK();
 }
 
-Result<RoundRecord> ReadRoundRecord(ByteReader* reader) {
-  RoundRecord r;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t round, reader->U32());
-  r.round = static_cast<int>(round);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_selected, reader->U32());
-  r.num_selected = static_cast<int>(num_selected);
-  FEDADMM_ASSIGN_OR_RETURN(r.train_loss, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.test_accuracy, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.test_loss, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.upload_bytes, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.download_bytes, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.upload_bytes_raw, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.download_bytes_raw, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.wall_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.sim_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_dropped, reader->U32());
-  r.num_dropped = static_cast<int>(num_dropped);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_partial, reader->U32());
-  r.num_admitted_partial = static_cast<int>(num_partial);
-  FEDADMM_ASSIGN_OR_RETURN(r.staleness_mean, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t staleness_max, reader->U32());
-  r.staleness_max = static_cast<int>(staleness_max);
-  FEDADMM_ASSIGN_OR_RETURN(r.state_bytes_resident, reader->I64());
-  return {std::move(r)};
-}
-
+// Records ride as canonical history-CSV fields, which round-trip bitwise.
 void WriteHistoryBlob(const History& history, ByteWriter* w) {
-  w->U32(static_cast<uint32_t>(history.size()));
-  for (const RoundRecord& r : history.records()) WriteRoundRecord(r, w);
+  WriteInt(history.size(), w);
+  for (const RoundRecord& record : history.records()) {
+    for (const std::string& field : RoundCsvRow(record)) w->String(field);
+  }
 }
 
 Result<History> ReadHistoryBlob(ByteReader* reader) {
   History history;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t count, reader->U32());
-  for (uint32_t i = 0; i < count; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, ReadRoundRecord(reader));
+  int count = 0;
+  FEDADMM_RETURN_IF_ERROR(ReadInt(reader, &count));
+  std::vector<std::string> fields(RoundCsvColumns().size());
+  for (int i = 0; i < count; ++i) {
+    for (std::string& field : fields) {
+      FEDADMM_ASSIGN_OR_RETURN(field, reader->String());
+    }
+    FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, RoundFromCsvRow(fields));
     history.Add(record);
   }
   return {std::move(history)};
@@ -173,67 +129,387 @@ ServerLoop::ServerLoop(FederatedProblem* problem,
       pipeline_(uplink_codec, downlink_codec, master_),
       executor_(problem, algorithm, master_, config.num_threads,
                 config.num_shards),
-      theta_(*theta) {}
+      theta_(*theta),
+      queue_(config.num_shards) {}
 
 ServerLoop::~ServerLoop() { algorithm_->DetachReducePool(); }
 
-void ServerLoop::InitializeModel() {
+Result<History> ServerLoop::Run() {
+  if (config_.max_rounds <= 0) {
+    return Status::InvalidArgument("Simulation: max_rounds must be > 0");
+  }
+  if (selector_->num_clients() != problem_->num_clients()) {
+    return Status::InvalidArgument(
+        "Simulation: selector and problem disagree on client count");
+  }
+  if (config_.eval_every < 1) {
+    return Status::InvalidArgument("Simulation: eval_every must be >= 1");
+  }
+  if (config_.num_shards < 1) {
+    return Status::InvalidArgument(
+        "Simulation: num_shards must be >= 1 (1 = unsharded server)");
+  }
+  // Fail fast on a bad store spec: Setup can only CHECK.
+  const std::string effective_store = config_.state_store.empty()
+                                          ? algorithm_->DefaultStateStoreSpec()
+                                          : config_.state_store;
+  if (!effective_store.empty()) {
+    auto probe = MakeClientStateStore(effective_store);
+    if (!probe.ok()) return probe.status();
+  }
+  if (!config_.checkpoint_path.empty()) {
+    if (config_.checkpoint_every < 1) {
+      return Status::InvalidArgument(
+          "Simulation: checkpoint_every must be >= 1");
+    }
+    // Codec state (error-feedback residuals) is not in the checkpoint.
+    if (uplink_codec_ != nullptr || downlink_codec_ != nullptr) {
+      return Status::InvalidArgument(
+          "Simulation: checkpoint_path does not cover codec state "
+          "(error-feedback residuals); detach the uplink/downlink codecs "
+          "or disable checkpointing");
+    }
+  }
+  if (ingest_ != nullptr) {
+    // Serve mode (fl/ingest.h): what keeps its trajectory reproducible.
+    if (!sync()) {
+      return Status::InvalidArgument(
+          "Simulation: an ingest source requires sync mode (event modes "
+          "schedule the client phase in-process)");
+    }
+    if (!config_.checkpoint_path.empty()) {
+      return Status::InvalidArgument(
+          "Simulation: checkpoint_path does not cover frontend session "
+          "state; detach the ingest source or disable checkpointing");
+    }
+    if (uplink_codec_ != nullptr &&
+        (!uplink_codec_->deterministic() || uplink_codec_->stateful())) {
+      return Status::InvalidArgument(
+          "Simulation: serve mode needs a deterministic, stateless uplink "
+          "codec ('" + uplink_codec_->name() +
+          "' is not): remote encoders cannot share the server's Rng forks "
+          "or residual history");
+    }
+  }
+  if (!sync()) {
+    if (system_model_ == nullptr) {
+      return Status::InvalidArgument(
+          "Simulation: mode '" + ExecutionModeName(config_.mode) +
+          "' needs a system model (event times come from the virtual "
+          "clock)");
+    }
+    // Methods whose aggregation breaks under per-arrival or small-batch
+    // updates refuse here (FedADMM with a fixed η overshoots m-fold;
+    // FedPD cannot form its full-population mean).
+    FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
+  }
+  if (!config_.round_trace_path.empty()) {
+    FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
+        config_.round_trace_path, config_.round_trace_deterministic_only));
+  }
+  Result<History> history = RunLoop();
+  FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
+  return history;
+}
+
+Result<History> ServerLoop::RunLoop() {
+  // θ⁰ and Setup. The client pool, idle whenever the server step runs,
+  // is lent for blocked server-side reductions.
   theta_ = problem_->InitialParameters(&init_rng_);
   AlgorithmContext ctx;
   ctx.num_clients = problem_->num_clients();
   ctx.dim = problem_->dim();
   ctx.state_store = config_.state_store;
-  // Lend the client-phase pool for blocked server-side reductions: it is
-  // idle whenever ServerUpdate / AggregateOne runs (waves are joined before
-  // aggregation in every mode).
   ctx.reduce_pool = executor_.pool();
   ctx.num_shards = config_.num_shards;
   algorithm_->Setup(ctx, theta_);
+  if (ingest_) {
+    FEDADMM_RETURN_IF_ERROR(
+        ingest_->StartServing(problem_->num_clients(), problem_->dim()));
+  }
+  in_flight_.assign(static_cast<size_t>(problem_->num_clients()), 0);
+  staleness_weight_ = sync() || !config_.staleness_weight
+                          ? ConstantStalenessWeight()
+                          : config_.staleness_weight;
+
+  History history;
+  std::unique_ptr<SlabLog> checkpoint_log;
+  bool restored = false;
+  if (!config_.checkpoint_path.empty()) {
+    // Never truncate: groups stack and recovery picks the newest committed
+    // one; Open cuts a torn tail so appends resume after it.
+    FEDADMM_ASSIGN_OR_RETURN(
+        checkpoint_log,
+        SlabLog::Open(config_.checkpoint_path, /*truncate=*/false));
+    if (config_.restore_from_checkpoint) {
+      FEDADMM_ASSIGN_OR_RETURN(restored, TryRestore(&history));
+    }
+  }
+  if (!sync() && !restored) {
+    // The initial wave fixes the event engine's concurrency: one
+    // in-flight client per slot, each freed slot refilled on arrival.
+    const int wave = wave_counter_++;
+    const std::vector<int> initial = Select(wave);
+    FEDADMM_CHECK_MSG(!initial.empty(), "selector returned empty set");
+    concurrency_ = static_cast<int>(initial.size());
+    FEDADMM_RETURN_IF_ERROR(DispatchWave(initial, wave));
+  }
+  const int buffer_target =
+      config_.mode == ExecutionMode::kAsync
+          ? 1
+          : (config_.buffer_size > 0
+                 ? std::min(config_.buffer_size, concurrency_)
+                 : std::max(1, concurrency_ / 2));
+
+  int records_at_last_checkpoint = history.size();
+  Stopwatch watch;
+  // One iteration per arrival, one RoundRecord per aggregation.
+  while (history.size() < config_.max_rounds) {
+    // The quiescent point (no arrival half-processed, no sync wave open).
+    if (checkpoint_log && history.size() > records_at_last_checkpoint &&
+        history.size() % config_.checkpoint_every == 0) {
+      FEDADMM_RETURN_IF_ERROR(WriteCheckpoint(checkpoint_log.get(), history));
+      records_at_last_checkpoint = history.size();
+    }
+    if (sync() && wave_.empty()) {
+      // Sync refill: the next cohort, usually drawn one round ahead.
+      const int wave = wave_counter_++;
+      std::vector<int> cohort = std::exchange(next_cohort_, {});
+      if (cohort.empty()) cohort = Select(wave);
+      FEDADMM_CHECK_MSG(!cohort.empty(), "selector returned empty set");
+      FEDADMM_RETURN_IF_ERROR(DispatchWave(cohort, wave));
+    }
+    if (!sync() && queue_.empty()) break;
+
+    ClientCompletionEvent event =
+        sync() ? std::move(wave_.front()) : queue_.Pop();
+    if (sync()) wave_.pop_front();
+    // Event arrivals pop in time order; a sync wave arrives in dispatch
+    // order, so its barrier stands at the latest arrival.
+    now_ = std::max(now_, event.time);
+    in_flight_[static_cast<size_t>(event.client_id)] = 0;
+    Admit(std::move(event));
+
+    // The trigger. In event modes a full wave of consecutive drops also
+    // flushes — the buffer, or an all-dropped record (NaN train_loss, θ
+    // untouched) — so a deadline every arrival misses still terminates.
+    const bool trigger =
+        sync() ? wave_.empty()
+               : static_cast<int>(buffer_.size()) >= buffer_target ||
+                     drops_since_aggregate_ >= concurrency_;
+    if (trigger) {
+      if (FinalizeRecord(Aggregate(history.size()), &watch, &history)) break;
+      if (history.size() >= config_.max_rounds) break;
+    }
+    if (!sync()) {
+      // Event refill: one replacement per freed slot, on the current θ.
+      const int wave = wave_counter_++;
+      const int replacement = PickReplacement(wave);
+      if (replacement >= 0) {
+        FEDADMM_RETURN_IF_ERROR(DispatchWave({replacement}, wave));
+      }
+    }
+  }
+  // Final group off the cadence: max_rounds, target accuracy, and a
+  // starved queue all land here, so a finished run restores as finished.
+  if (checkpoint_log && history.size() > records_at_last_checkpoint) {
+    FEDADMM_RETURN_IF_ERROR(WriteCheckpoint(checkpoint_log.get(), history));
+  }
+  return history;
+}
+
+std::vector<int> ServerLoop::Select(int wave) {
+  obs::TraceScope scope("select", "engine", Metrics().phase_select);
+  scope.set_arg("wave", wave);
+  return selector_->Select(wave, &selection_rng_);
+}
+
+Status ServerLoop::DispatchWave(const std::vector<int>& clients, int wave) {
+  obs::TraceScope dispatch_scope("dispatch", "engine",
+                                 Metrics().phase_dispatch);
+  dispatch_scope.set_arg("wave", wave);
+  // θ is encoded once per wave; clients train on the decoded broadcast.
+  const DownlinkPlan downlink = pipeline_.PrepareDownlink(
+      wave, theta_, algorithm_->DownloadBytesPerClient());
+  std::vector<UpdateMessage> updates;
+  if (ingest_) {
+    // Serve mode: sessions pull and push while the next cohort is drawn
+    // below, keeping the selection stream's Select(0), Select(1), ... order.
+    FEDADMM_RETURN_IF_ERROR(
+        ingest_->BeginRound(wave, clients, downlink, theta_));
+  } else {
+    executor_.RunWave(wave, clients, downlink.ThetaForClients(theta_),
+                      &updates);
+    // Exact upload sizes for the judgment; encoding waits for admission.
+    pipeline_.PredictUplinkBytes(&updates);
+  }
+  dispatch_scope.Stop();
+
+  // Sync draws the next cohort now so the store can prefetch its slabs on
+  // the idle executor pool while the serial work runs.
+  if (sync() && wave + 1 < config_.max_rounds) {
+    next_cohort_ = Select(wave + 1);
+    if (ClientStateStore* store = algorithm_->mutable_state_store()) {
+      store->PrefetchClients(next_cohort_, executor_.pool());
+    }
+  }
+  if (ingest_) {
+    // One decoded message per cohort member, in selection order.
+    FEDADMM_ASSIGN_OR_RETURN(updates, ingest_->CollectWave(wave));
+    if (updates.size() != clients.size()) {
+      return Status::Internal("Simulation: CollectWave must return one "
+                              "message per cohort member");
+    }
+  }
+
+  for (UpdateMessage& msg : updates) {
+    ClientCompletionEvent event;
+    if (system_model_) {
+      event = MakeClientCompletionEvent(
+          system_model_->fleet().profile(msg.client_id),
+          system_model_->policy(), now_, downlink.per_client_bytes,
+          std::move(msg), wave, server_version_, sequence_++);
+    } else {
+      // No virtual clock: every client arrives, admitted, at dispatch.
+      event.time = now_;
+      event.sequence = sequence_++;
+      event.client_id = msg.client_id;
+      event.wave = wave;
+      event.theta_version = server_version_;
+      event.message = std::move(msg);
+    }
+    // A client dropped mid-download is billed the received fraction.
+    pending_download_bytes_ += BilledBytes(event.decision.download_fraction,
+                                           downlink.per_client_bytes);
+    pending_download_bytes_raw_ += BilledBytes(
+        event.decision.download_fraction, downlink.per_client_bytes_raw);
+    in_flight_[static_cast<size_t>(event.client_id)] = 1;
+    if (sync()) {
+      wave_.push_back(std::move(event));
+    } else {
+      queue_.Push(std::move(event));
+    }
+  }
+  return Status::OK();
+}
+
+int ServerLoop::PickReplacement(int wave) {
+  for (const int client : Select(wave)) {
+    if (!in_flight_[static_cast<size_t>(client)]) return client;
+  }
+  for (size_t client = 0; client < in_flight_.size(); ++client) {
+    if (!in_flight_[client]) return static_cast<int>(client);
+  }
+  return -1;
+}
+
+void ServerLoop::Admit(ClientCompletionEvent event) {
+  if (event.decision.fate == ClientFate::kDropped) {
+    ++pending_dropped_;
+    ++drops_since_aggregate_;
+    return;
+  }
+  drops_since_aggregate_ = 0;
+  if (event.decision.fate == ClientFate::kAdmittedPartial) {
+    ++pending_partial_;
+    // A proportionally smaller delta (DeadlineAdmitPartialPolicy note).
+    ScalePayload(static_cast<float>(event.decision.work_fraction),
+                 &event.message);
+  }
+  // Encode serially in arrival order: stateful codecs see a deterministic
+  // schedule of admitted uploads. Serve-mode payloads arrive encoded.
+  if (!ingest_) pipeline_.EncodeUplink(event.wave, &event.message);
+  buffer_.push_back(std::move(event));
+}
+
+RoundRecord ServerLoop::Aggregate(int round) {
+  obs::TraceScope scope("aggregate", "engine", Metrics().phase_aggregate);
+  scope.set_arg("round", round);
+  RoundRecord record;
+  record.round = round;
+  // Sync counts the cohort, drops included; event modes the buffer.
+  record.num_selected =
+      static_cast<int>(buffer_.size()) + (sync() ? pending_dropped_ : 0);
+  record.num_dropped = std::exchange(pending_dropped_, 0);
+  record.num_admitted_partial = std::exchange(pending_partial_, 0);
+  record.download_bytes = std::exchange(pending_download_bytes_, 0);
+  record.download_bytes_raw = std::exchange(pending_download_bytes_raw_, 0);
+  record.sim_seconds = now_;
+  drops_since_aggregate_ = 0;
+
+  double loss_sum = 0.0;
+  double staleness_sum = 0.0;
+  for (ClientCompletionEvent& e : buffer_) {
+    const int staleness = server_version_ - e.theta_version;
+    staleness_sum += staleness;
+    record.staleness_max = std::max(record.staleness_max, staleness);
+    loss_sum += e.message.train_loss;
+    record.upload_bytes += e.message.UploadBytes();
+    record.upload_bytes_raw += e.message.RawBytes();
+    // Discount stale payloads (FedBuff/FedAsync); the raw count still
+    // reaches AggregateOne for methods that adapt further.
+    const double w = staleness_weight_(staleness);
+    FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
+                      "staleness weight must be finite and >= 0");
+    if (w != 1.0) ScalePayload(static_cast<float>(w), &e.message);
+  }
+  record.train_loss = MeanTrainLoss(loss_sum, buffer_.size());
+  record.staleness_mean =
+      buffer_.empty() ? std::numeric_limits<double>::quiet_NaN()
+                      : staleness_sum / static_cast<double>(buffer_.size());
+  // An all-dropped record leaves θ untouched.
+  if (config_.mode == ExecutionMode::kAsync && !buffer_.empty()) {
+    ClientCompletionEvent& e = buffer_.front();
+    algorithm_->AggregateOne(std::move(e.message), round,
+                             server_version_ - e.theta_version, &theta_);
+    ++server_version_;
+  } else if (!buffer_.empty()) {
+    std::vector<UpdateMessage> batch;
+    batch.reserve(buffer_.size());
+    for (ClientCompletionEvent& e : buffer_) {
+      batch.push_back(std::move(e.message));
+    }
+    algorithm_->ServerUpdate(batch, round, &theta_);
+    ++server_version_;
+  }
+  buffer_.clear();
+  return record;
 }
 
 bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
                                 History* history) {
   obs::TraceScope scope("finalize", "engine", Metrics().phase_finalize);
   scope.set_arg("round", record.round);
-  const int round = record.round;
-  const bool last_round = (round == config_.max_rounds - 1);
-  const bool evaluate = last_round || (round % config_.eval_every == 0);
+  const bool evaluate = record.round == config_.max_rounds - 1 ||
+                        record.round % config_.eval_every == 0;
+  record.test_accuracy = std::numeric_limits<double>::quiet_NaN();
+  record.test_loss = std::numeric_limits<double>::quiet_NaN();
   if (evaluate) {
     const EvalResult eval = problem_->Evaluate(theta_, /*worker=*/0);
     record.test_accuracy = eval.accuracy;
     record.test_loss = eval.loss;
-  } else {
-    record.test_accuracy = std::numeric_limits<double>::quiet_NaN();
-    record.test_loss = std::numeric_limits<double>::quiet_NaN();
   }
   record.wall_seconds = watch->ElapsedSeconds();
-  // Stamp the state-cost surface: what the algorithm's per-client store
-  // holds resident at the end of this round.
   record.state_bytes_resident = algorithm_->StateBytesResident();
   watch->Reset();
   history->Add(record);
   if (obs::MetricsEnabled()) {
     EngineMetrics& m = Metrics();
     m.rounds->Add(1);
-    m.clients_selected->Add(record.num_selected);
-    m.clients_dropped->Add(record.num_dropped);
-    m.clients_admitted_partial->Add(record.num_admitted_partial);
+    m.selected->Add(record.num_selected);
+    m.dropped->Add(record.num_dropped);
+    m.partial->Add(record.num_admitted_partial);
     m.state_bytes_resident->Set(record.state_bytes_resident);
   }
   if (round_trace_.is_open()) WriteRoundTrace(record);
   if (observer_ && *observer_) (*observer_)(record);
   if (config_.log_rounds && evaluate) {
-    if (config_.mode == ExecutionMode::kSync) {
-      FEDADMM_LOG(Info) << algorithm_->name() << " round " << round
-                        << " acc=" << record.test_accuracy
-                        << " loss=" << record.train_loss;
-    } else {
-      FEDADMM_LOG(Info) << algorithm_->name() << " ["
-                        << ExecutionModeName(config_.mode) << "] round "
-                        << round << " t=" << record.sim_seconds
-                        << " acc=" << record.test_accuracy
-                        << " stale=" << record.staleness_mean;
-    }
+    FEDADMM_LOG(Info) << algorithm_->name() << " ["
+                      << ExecutionModeName(config_.mode) << "] round "
+                      << record.round << " t=" << record.sim_seconds
+                      << " acc=" << record.test_accuracy
+                      << " loss=" << record.train_loss
+                      << " stale=" << record.staleness_mean;
   }
   return evaluate && config_.target_accuracy > 0.0 &&
          record.test_accuracy >= config_.target_accuracy;
@@ -264,694 +540,108 @@ void ServerLoop::WriteRoundTrace(const RoundRecord& record) {
   w.EndObject();
   const Status status = round_trace_.Append(w.str());
   if (!status.ok()) {
-    // A broken trace sink must not abort training; warn once and stop
-    // writing.
+    // A broken trace sink must not abort training; warn once, stop writing.
     FEDADMM_LOG(Warning) << "round trace disabled: " << status.message();
     (void)round_trace_.Close();
   }
 }
 
-Result<std::unique_ptr<SlabLog>> ServerLoop::OpenCheckpointLog() {
-  if (config_.checkpoint_path.empty()) {
-    return {std::unique_ptr<SlabLog>()};
+Status ServerLoop::WriteCheckpoint(SlabLog* log, const History& history) {
+  ByteWriter w;
+  w.U8(sync() ? kCheckpointSyncTag : kCheckpointEventTag);
+  w.Floats(theta_);
+  w.String(selection_rng_.SerializeState());
+  w.String(algorithm_->SerializeExtraState());
+  WriteHistoryBlob(history, &w);
+  w.F64(now_);
+  w.I64(sequence_);
+  w.I64(pending_download_bytes_);
+  w.I64(pending_download_bytes_raw_);
+  for (const int v : {wave_counter_, server_version_, concurrency_,
+                      pending_dropped_, pending_partial_,
+                      drops_since_aggregate_}) {
+    WriteInt(v, &w);
   }
-  // Never truncate: groups stack, and recovery (which already ran by the
-  // time this opens in restore mode) picks the newest committed one. A
-  // torn tail is cut by Open so appends resume after the last intact
-  // record.
-  return SlabLog::Open(config_.checkpoint_path, /*truncate=*/false);
-}
-
-Status ServerLoop::CheckpointSync(SlabLog* log, const History& history,
-                                  const std::vector<int>& pending_selected,
-                                  bool have_pending) {
-  ByteWriter writer;
-  writer.U8(kCheckpointSyncTag);
-  writer.Floats(theta_);
-  writer.String(selection_rng_.SerializeState());
-  writer.String(algorithm_->SerializeExtraState());
-  WriteHistoryBlob(history, &writer);
-  // The next round's cohort is drawn *before* this checkpoint (the
-  // prefetch restructure), so the serialized RNG has already moved past
-  // it; the cohort itself must ride along or the restored run would skip
-  // it.
-  writer.U8(have_pending ? 1 : 0);
-  writer.U32(static_cast<uint32_t>(pending_selected.size()));
-  for (const int client : pending_selected) {
-    writer.U32(static_cast<uint32_t>(client));
+  WriteInt(static_cast<int>(buffer_.size()), &w);
+  for (const ClientCompletionEvent& e : buffer_) {
+    SerializeClientCompletionEvent(e, &w);
   }
-  return AppendSimulationCheckpoint(log, history.size(), writer.Take(),
+  WriteInt(queue_.size(), &w);
+  for (int s = 0; s < queue_.num_shards(); ++s) {
+    for (const ClientCompletionEvent& e : queue_.shard(s).events()) {
+      SerializeClientCompletionEvent(e, &w);
+    }
+  }
+  // The RNG is already past sync's pre-drawn cohort: it rides along.
+  WriteInt(static_cast<int>(next_cohort_.size()), &w);
+  for (const int client : next_cohort_) WriteInt(client, &w);
+  return AppendSimulationCheckpoint(log, history.size(), w.Take(),
                                     algorithm_->mutable_state_store());
 }
 
-Result<bool> ServerLoop::TryRestoreSync(History* history,
-                                        std::vector<int>* pending_selected,
-                                        bool* have_pending) {
+Result<bool> ServerLoop::TryRestore(History* history) {
   auto loaded = LoadLatestSimulationCheckpoint(config_.checkpoint_path);
   if (!loaded.ok()) {
-    if (loaded.status().IsNotFound() || loaded.status().IsIoError()) {
-      // Missing file, no committed group, or an unreadable one: start
-      // fresh — the crash-before-first-checkpoint semantic.
-      return {false};
-    }
-    return loaded.status();
-  }
-  const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
-  ByteReader reader(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-  if (tag != kCheckpointSyncTag) {
-    return Status::InvalidArgument(
-        "Simulation: checkpoint in '" + config_.checkpoint_path +
-        "' was written by a different execution mode");
-  }
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, reader.Floats());
-  if (theta.size() != theta_.size()) {
-    return Status::InvalidArgument(
-        "Simulation: checkpoint θ dim " + std::to_string(theta.size()) +
-        " != problem dim " + std::to_string(theta_.size()));
-  }
-  theta_ = std::move(theta);
-  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, reader.String());
-  FEDADMM_RETURN_IF_ERROR(selection_rng_.RestoreState(rng_state));
-  FEDADMM_ASSIGN_OR_RETURN(std::string extra, reader.String());
-  FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
-  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader));
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t have, reader.U8());
-  *have_pending = have != 0;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
-  pending_selected->clear();
-  pending_selected->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
-    pending_selected->push_back(static_cast<int>(client));
-  }
-  if (ClientStateStore* store = algorithm_->mutable_state_store()) {
-    FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
-  }
-  return {true};
-}
-
-Status ServerLoop::CheckpointEventDriven(SlabLog* log, const History& history,
-                                         const EventLoopState& state) {
-  ByteWriter writer;
-  writer.U8(kCheckpointEventTag);
-  writer.Floats(theta_);
-  writer.String(selection_rng_.SerializeState());
-  writer.String(algorithm_->SerializeExtraState());
-  WriteHistoryBlob(history, &writer);
-  writer.I64(sequence_);
-  writer.I64(pending_download_bytes_);
-  writer.I64(pending_download_bytes_raw_);
-  writer.U32(static_cast<uint32_t>(*state.wave_counter));
-  writer.U32(static_cast<uint32_t>(*state.server_version));
-  writer.U32(static_cast<uint32_t>(*state.concurrency));
-  writer.U32(static_cast<uint32_t>(*state.pending_dropped));
-  writer.U32(static_cast<uint32_t>(*state.pending_partial));
-  writer.U32(static_cast<uint32_t>(*state.drops_since_aggregate));
-  writer.U32(static_cast<uint32_t>(state.buffer->size()));
-  for (const ClientCompletionEvent& event : *state.buffer) {
-    SerializeClientCompletionEvent(event, &writer);
-  }
-  writer.U32(static_cast<uint32_t>(state.queue->size()));
-  for (int s = 0; s < state.queue->num_shards(); ++s) {
-    for (const ClientCompletionEvent& event : state.queue->shard(s).events()) {
-      SerializeClientCompletionEvent(event, &writer);
-    }
-  }
-  return AppendSimulationCheckpoint(log, history.size(), writer.Take(),
-                                    algorithm_->mutable_state_store());
-}
-
-Result<bool> ServerLoop::TryRestoreEventDriven(History* history,
-                                               const EventLoopState& state) {
-  auto loaded = LoadLatestSimulationCheckpoint(config_.checkpoint_path);
-  if (!loaded.ok()) {
+    // Missing file, no committed group, or an unreadable one: start fresh
+    // — the crash-before-first-checkpoint semantic.
     if (loaded.status().IsNotFound() || loaded.status().IsIoError()) {
       return {false};
     }
     return loaded.status();
   }
   const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
-  ByteReader reader(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-  if (tag != kCheckpointEventTag) {
+  ByteReader r(checkpoint.engine_blob);
+  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
+  if (tag != (sync() ? kCheckpointSyncTag : kCheckpointEventTag)) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
         "' was written by a different execution mode");
   }
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, reader.Floats());
+  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, r.Floats());
   if (theta.size() != theta_.size()) {
     return Status::InvalidArgument(
         "Simulation: checkpoint θ dim " + std::to_string(theta.size()) +
         " != problem dim " + std::to_string(theta_.size()));
   }
   theta_ = std::move(theta);
-  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, reader.String());
+  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, r.String());
   FEDADMM_RETURN_IF_ERROR(selection_rng_.RestoreState(rng_state));
-  FEDADMM_ASSIGN_OR_RETURN(std::string extra, reader.String());
+  FEDADMM_ASSIGN_OR_RETURN(std::string extra, r.String());
   FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
-  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader));
-  FEDADMM_ASSIGN_OR_RETURN(sequence_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_raw_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t wave_counter, reader.U32());
-  *state.wave_counter = static_cast<int>(wave_counter);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t server_version, reader.U32());
-  *state.server_version = static_cast<int>(server_version);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t concurrency, reader.U32());
-  *state.concurrency = static_cast<int>(concurrency);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending_dropped, reader.U32());
-  *state.pending_dropped = static_cast<int>(pending_dropped);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending_partial, reader.U32());
-  *state.pending_partial = static_cast<int>(pending_partial);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t drops, reader.U32());
-  *state.drops_since_aggregate = static_cast<int>(drops);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t buffered, reader.U32());
-  state.buffer->clear();
-  for (uint32_t i = 0; i < buffered; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent event,
-                             DeserializeClientCompletionEvent(&reader));
-    state.buffer->push_back(std::move(event));
+  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&r));
+  FEDADMM_ASSIGN_OR_RETURN(now_, r.F64());
+  FEDADMM_ASSIGN_OR_RETURN(sequence_, r.I64());
+  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, r.I64());
+  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_raw_, r.I64());
+  for (int* v : {&wave_counter_, &server_version_, &concurrency_,
+                 &pending_dropped_, &pending_partial_,
+                 &drops_since_aggregate_}) {
+    FEDADMM_RETURN_IF_ERROR(ReadInt(&r, v));
   }
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t queued, reader.U32());
-  for (uint32_t i = 0; i < queued; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent event,
-                             DeserializeClientCompletionEvent(&reader));
-    // in_flight_ is derivable: exactly the queued (not yet completed)
-    // clients occupy slots.
-    in_flight_[static_cast<size_t>(event.client_id)] = 1;
-    state.queue->Push(std::move(event));
+  int count = 0;
+  FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
+  for (int i = 0; i < count; ++i) {
+    FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent e,
+                             DeserializeClientCompletionEvent(&r));
+    buffer_.push_back(std::move(e));
+  }
+  FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
+  for (int i = 0; i < count; ++i) {
+    FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent e,
+                             DeserializeClientCompletionEvent(&r));
+    // Exactly the queued (not yet arrived) clients are in flight.
+    in_flight_[static_cast<size_t>(e.client_id)] = 1;
+    queue_.Push(std::move(e));
+  }
+  FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
+  next_cohort_.resize(static_cast<size_t>(count));
+  for (int& client : next_cohort_) {
+    FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &client));
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {
     FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
   }
   return {true};
-}
-
-Result<History> ServerLoop::Run() {
-  if (config_.max_rounds <= 0) {
-    return Status::InvalidArgument("Simulation: max_rounds must be > 0");
-  }
-  if (selector_->num_clients() != problem_->num_clients()) {
-    return Status::InvalidArgument(
-        "Simulation: selector and problem disagree on client count");
-  }
-  if (config_.eval_every < 1) {
-    return Status::InvalidArgument("Simulation: eval_every must be >= 1");
-  }
-  if (config_.num_shards < 1) {
-    return Status::InvalidArgument(
-        "Simulation: num_shards must be >= 1 (1 = unsharded server)");
-  }
-  // Fail fast on a bad spec — config-level or algorithm-default — since
-  // Setup runs deep inside the first round and can only CHECK.
-  const std::string effective_store = config_.state_store.empty()
-                                          ? algorithm_->DefaultStateStoreSpec()
-                                          : config_.state_store;
-  if (!effective_store.empty()) {
-    auto probe = MakeClientStateStore(effective_store);
-    if (!probe.ok()) return probe.status();
-  }
-  if (!config_.checkpoint_path.empty()) {
-    if (config_.checkpoint_every < 1) {
-      return Status::InvalidArgument(
-          "Simulation: checkpoint_every must be >= 1");
-    }
-    // Codec state (error-feedback residuals, codec RNG forks) is not part
-    // of the checkpoint blob; restoring around it would silently change
-    // the trajectory. Fail fast instead.
-    if (uplink_codec_ != nullptr || downlink_codec_ != nullptr) {
-      return Status::InvalidArgument(
-          "Simulation: checkpoint_path does not cover codec state "
-          "(error-feedback residuals); detach the uplink/downlink codecs "
-          "or disable checkpointing");
-    }
-  }
-  if (ingest_ != nullptr) {
-    // Serve mode replaces the in-process client phase with wire-protocol
-    // collection (fl/ingest.h); the preconditions that keep the trajectory
-    // reproducible are checked here, before any round runs.
-    if (config_.mode != ExecutionMode::kSync) {
-      return Status::InvalidArgument(
-          "Simulation: an ingest source requires sync mode (event modes "
-          "schedule the client phase in-process)");
-    }
-    if (!config_.checkpoint_path.empty()) {
-      return Status::InvalidArgument(
-          "Simulation: checkpoint_path does not cover frontend session "
-          "state; detach the ingest source or disable checkpointing");
-    }
-    if (uplink_codec_ != nullptr &&
-        (!uplink_codec_->deterministic() || uplink_codec_->stateful())) {
-      return Status::InvalidArgument(
-          "Simulation: serve mode needs a deterministic, stateless uplink "
-          "codec ('" + uplink_codec_->name() +
-          "' is not): remote encoders cannot share the server's Rng forks "
-          "or residual history");
-    }
-  }
-  if (!config_.round_trace_path.empty()) {
-    FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
-        config_.round_trace_path, config_.round_trace_deterministic_only));
-  }
-  if (config_.mode == ExecutionMode::kSync) {
-    Result<History> history = RunSync();
-    FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
-    return history;
-  }
-  if (system_model_ == nullptr) {
-    return Status::InvalidArgument(
-        "Simulation: mode '" + ExecutionModeName(config_.mode) +
-        "' needs a system model (event times come from the virtual clock)");
-  }
-  // Let methods whose aggregation semantics break under per-arrival or
-  // small-batch updates reject the run up front (FedADMM with a fixed η
-  // silently overshoots m-fold; FedPD cannot form its full-population
-  // mean).
-  FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
-  Result<History> history = RunEventDriven();
-  FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
-  return history;
-}
-
-Result<History> ServerLoop::RunSync() {
-  InitializeModel();
-  if (ingest_) {
-    FEDADMM_RETURN_IF_ERROR(
-        ingest_->StartServing(problem_->num_clients(), problem_->dim()));
-  }
-
-  History history;
-  VirtualClock clock;
-  // The next round's cohort, drawn one round ahead (between dispatch and
-  // aggregate) so the state store can prefetch its cold slabs while the
-  // server aggregates/evaluates. The selection stream still sees exactly
-  // the call sequence Select(0), Select(1), ... — trajectories stay
-  // bitwise identical to the lockstep draw.
-  std::vector<int> selected;
-  bool have_selected = false;
-  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> checkpoint_log,
-                           OpenCheckpointLog());
-  if (checkpoint_log && config_.restore_from_checkpoint) {
-    FEDADMM_ASSIGN_OR_RETURN(
-        const bool restored,
-        TryRestoreSync(&history, &selected, &have_selected));
-    if (restored && system_model_ && !history.empty()) {
-      // The clock is derivable: sim_seconds of the last record is exactly
-      // where the virtual clock stood.
-      clock.Advance(history.records().back().sim_seconds);
-    }
-  }
-  for (int round = history.size(); round < config_.max_rounds; ++round) {
-    Stopwatch watch;
-    RoundContext ctx;
-    ctx.round = round;
-    ctx.num_shards = config_.num_shards;
-    if (have_selected) {
-      ctx.selected = std::move(selected);
-      have_selected = false;
-    } else {
-      obs::TraceScope scope("select", "engine", Metrics().phase_select);
-      scope.set_arg("round", round);
-      ctx.selected = selector_->Select(round, &selection_rng_);
-    }
-    FEDADMM_CHECK_MSG(!ctx.selected.empty(), "selector returned empty set");
-
-    obs::TraceScope dispatch_scope("dispatch", "engine",
-                                   Metrics().phase_dispatch);
-    dispatch_scope.set_arg("round", round);
-    // Downlink: the server encodes θ once per round; every selected client
-    // trains on the decoded broadcast (what it actually received) and is
-    // billed the compressed size. Algorithm extras beyond θ (e.g.
-    // SCAFFOLD's control variate) stay uncompressed.
-    ctx.downlink = pipeline_.PrepareDownlink(
-        round, theta_, algorithm_->DownloadBytesPerClient());
-
-    if (ingest_) {
-      // Serve mode: open the round to the frontend's sessions. Clients
-      // pull the broadcast and push updates while the loop prefetches the
-      // next cohort below; collection joins after the prefetch so the
-      // selection stream keeps the exact Select(0), Select(1), ... order.
-      FEDADMM_RETURN_IF_ERROR(
-          ingest_->BeginRound(round, ctx.selected, ctx.downlink, theta_));
-    } else {
-      executor_.RunWave(round, ctx.selected,
-                        ctx.downlink.ThetaForClients(theta_), &ctx.updates);
-
-      // Predict each upload's wire size before the straggler judgment: the
-      // virtual clock bills bytes, and WireBytes() gives the exact size
-      // without materializing payloads. Actual encoding happens after the
-      // judgment so stateful codecs only see admitted uploads. (In serve
-      // mode the frontend stamps the actual frame payload sizes instead.)
-      pipeline_.PredictUplinkBytes(&ctx.updates);
-    }
-    dispatch_scope.Stop();
-
-    // Draw the next cohort now and hint the store: an out-of-core backend
-    // faults those slabs on the executor pool (idle until the next wave)
-    // while the serial aggregate/finalize phases below run.
-    if (round + 1 < config_.max_rounds) {
-      obs::TraceScope scope("select", "engine", Metrics().phase_select);
-      scope.set_arg("round", round + 1);
-      selected = selector_->Select(round + 1, &selection_rng_);
-      have_selected = true;
-      if (ClientStateStore* store = algorithm_->mutable_state_store()) {
-        store->PrefetchClients(selected, executor_.pool());
-      }
-    }
-
-    if (ingest_) {
-      // Join the wave: one message per cohort member, in selection order,
-      // decoded exactly once on the frontend's shard workers. The straggler
-      // judgment below stays the single source of truth on fates.
-      FEDADMM_ASSIGN_OR_RETURN(ctx.updates, ingest_->CollectWave(round));
-    }
-
-    obs::TraceScope aggregate_scope("aggregate", "engine",
-                                    Metrics().phase_aggregate);
-    aggregate_scope.set_arg("round", round);
-
-    RoundRecord record;
-    record.round = round;
-    record.num_selected = static_cast<int>(ctx.selected.size());
-    int64_t download_bytes = static_cast<int64_t>(ctx.selected.size()) *
-                             ctx.downlink.per_client_bytes;
-    int64_t download_bytes_raw = static_cast<int64_t>(ctx.selected.size()) *
-                                 ctx.downlink.per_client_bytes_raw;
-
-    if (system_model_) {
-      // Time the round on the virtual clock and let the straggler policy
-      // drop (or scale down) late updates before aggregation.
-      const RoundJudgment judgment = system_model_->JudgeRound(
-          ctx.updates, ctx.downlink.per_client_bytes);
-      record.num_dropped = judgment.num_dropped;
-      record.num_admitted_partial = judgment.num_admitted_partial;
-      clock.Advance(judgment.round_seconds);
-      // Bill only the downlink bytes the fleet actually received: a client
-      // dropped while its broadcast was still in flight pays the received
-      // fraction, not the full model.
-      download_bytes = 0;
-      download_bytes_raw = 0;
-      std::vector<UpdateMessage> admitted;
-      admitted.reserve(ctx.updates.size());
-      for (size_t i = 0; i < ctx.updates.size(); ++i) {
-        const StragglerDecision& decision = judgment.decisions[i];
-        download_bytes += BilledBytes(decision.download_fraction,
-                                      ctx.downlink.per_client_bytes);
-        download_bytes_raw += BilledBytes(decision.download_fraction,
-                                          ctx.downlink.per_client_bytes_raw);
-        if (decision.fate == ClientFate::kDropped) continue;
-        UpdateMessage msg = std::move(ctx.updates[i]);
-        if (decision.fate == ClientFate::kAdmittedPartial) {
-          // The client shipped its iterate at the deadline: model the
-          // shorter SGD path as a proportionally smaller delta. Per-client
-          // algorithm state keeps the full pass — see the modeling note on
-          // DeadlineAdmitPartialPolicy.
-          ScalePayload(static_cast<float>(decision.work_fraction), &msg);
-        }
-        admitted.push_back(std::move(msg));
-      }
-      ctx.updates = std::move(admitted);
-    }
-    record.sim_seconds = clock.now();
-
-    // Uplink: encode what the server actually receives — dropped uploads
-    // must not feed error-feedback residuals, and a partially-admitted
-    // client encodes its scaled (deadline) delta. Serve-mode payloads were
-    // already encoded client-side and decoded once on the shard workers;
-    // re-encoding here would apply the lossy codec twice.
-    if (!ingest_) pipeline_.EncodeUplinkAll(round, &ctx.updates);
-
-    // An all-dropped round wastes its deadline but leaves θ untouched.
-    if (!ctx.updates.empty()) {
-      algorithm_->ServerUpdate(ctx.updates, round, &theta_);
-    }
-    aggregate_scope.Stop();
-
-    double loss_sum = 0.0;
-    int64_t upload = 0;
-    int64_t upload_raw = 0;
-    for (const UpdateMessage& msg : ctx.updates) {
-      loss_sum += msg.train_loss;
-      upload += msg.UploadBytes();
-      upload_raw += msg.RawBytes();
-    }
-    record.train_loss = MeanTrainLoss(loss_sum, ctx.updates.size());
-    record.upload_bytes = upload;
-    record.upload_bytes_raw = upload_raw;
-    record.download_bytes = download_bytes;
-    record.download_bytes_raw = download_bytes_raw;
-    // Sync aggregation is always fresh; the NaN mean marks an all-dropped
-    // round, mirroring train_loss.
-    record.staleness_mean =
-        ctx.updates.empty() ? std::numeric_limits<double>::quiet_NaN() : 0.0;
-    record.staleness_max = 0;
-
-    // Every exit path leaves a committed group behind: the cadence, the
-    // final round, and the early accuracy stop all checkpoint before the
-    // loop moves on.
-    const bool stop = FinalizeRecord(std::move(record), &watch, &history);
-    if (checkpoint_log &&
-        (stop || round + 1 == config_.max_rounds ||
-         history.size() % config_.checkpoint_every == 0)) {
-      FEDADMM_RETURN_IF_ERROR(CheckpointSync(checkpoint_log.get(), history,
-                                             selected, have_selected));
-    }
-    if (stop) break;
-  }
-  return history;
-}
-
-void ServerLoop::DispatchWave(const std::vector<int>& clients, int wave,
-                              double now, int theta_version,
-                              ShardedEventQueue* queue) {
-  obs::TraceScope scope("dispatch", "engine", Metrics().phase_dispatch);
-  scope.set_arg("wave", wave);
-  RoundContext ctx;
-  ctx.round = wave;
-  ctx.num_shards = config_.num_shards;
-  ctx.selected = clients;
-  ctx.downlink = pipeline_.PrepareDownlink(
-      wave, theta_, algorithm_->DownloadBytesPerClient());
-  executor_.RunWave(wave, ctx.selected, ctx.downlink.ThetaForClients(theta_),
-                    &ctx.updates);
-  pipeline_.PredictUplinkBytes(&ctx.updates);
-
-  const FleetModel& fleet = system_model_->fleet();
-  const StragglerPolicy& policy = system_model_->policy();
-  for (size_t i = 0; i < ctx.updates.size(); ++i) {
-    const int client = ctx.selected[i];
-    ClientCompletionEvent event = MakeClientCompletionEvent(
-        fleet.profile(client), policy, now, ctx.downlink.per_client_bytes,
-        std::move(ctx.updates[i]), wave, theta_version, sequence_++);
-    pending_download_bytes_ += BilledBytes(event.decision.download_fraction,
-                                           ctx.downlink.per_client_bytes);
-    pending_download_bytes_raw_ += BilledBytes(
-        event.decision.download_fraction, ctx.downlink.per_client_bytes_raw);
-    in_flight_[static_cast<size_t>(client)] = 1;
-    queue->Push(std::move(event));
-  }
-}
-
-int ServerLoop::PickReplacement(int wave) {
-  obs::TraceScope scope("select", "engine", Metrics().phase_select);
-  scope.set_arg("wave", wave);
-  const std::vector<int> candidates = selector_->Select(wave, &selection_rng_);
-  for (const int client : candidates) {
-    if (!in_flight_[static_cast<size_t>(client)]) return client;
-  }
-  for (size_t client = 0; client < in_flight_.size(); ++client) {
-    if (!in_flight_[client]) return static_cast<int>(client);
-  }
-  return -1;
-}
-
-Result<History> ServerLoop::RunEventDriven() {
-  InitializeModel();
-  in_flight_.assign(static_cast<size_t>(problem_->num_clients()), 0);
-
-  const StalenessWeightFn weight = config_.staleness_weight
-                                       ? config_.staleness_weight
-                                       : ConstantStalenessWeight();
-
-  History history;
-  // One event heap per aggregation worker; pops merge on (time, sequence),
-  // identically to a single global heap at every W — so the sharded queue
-  // serves all W (including 1) without touching the trajectory.
-  ShardedEventQueue queue(config_.num_shards);
-  int wave_counter = 0;
-  int server_version = 0;
-  int concurrency = 0;
-  std::vector<ClientCompletionEvent> buffer;
-  int pending_dropped = 0;
-  int pending_partial = 0;
-  int drops_since_aggregate = 0;
-  const EventLoopState state{&queue,
-                             &buffer,
-                             &wave_counter,
-                             &server_version,
-                             &concurrency,
-                             &pending_dropped,
-                             &pending_partial,
-                             &drops_since_aggregate};
-
-  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> checkpoint_log,
-                           OpenCheckpointLog());
-  bool restored = false;
-  if (checkpoint_log && config_.restore_from_checkpoint) {
-    FEDADMM_ASSIGN_OR_RETURN(restored,
-                             TryRestoreEventDriven(&history, state));
-  }
-
-  if (!restored) {
-    // The initial wave fixes the engine's concurrency: one in-flight
-    // client per slot, each freed slot refilled on completion.
-    const std::vector<int> initial =
-        selector_->Select(wave_counter, &selection_rng_);
-    FEDADMM_CHECK_MSG(!initial.empty(), "selector returned empty set");
-    concurrency = static_cast<int>(initial.size());
-    DispatchWave(initial, wave_counter++, /*now=*/0.0, server_version,
-                 &queue);
-  }
-
-  const int buffer_target =
-      config_.mode == ExecutionMode::kAsync
-          ? 1
-          : (config_.buffer_size > 0
-                 ? std::min(config_.buffer_size, concurrency)
-                 : std::max(1, concurrency / 2));
-
-  int records_at_last_checkpoint = history.size();
-  Stopwatch watch;
-
-  // One iteration per event; one RoundRecord per aggregation (or per
-  // starved wave of drops). The queue only empties if every client is
-  // simultaneously in flight and none can be replaced, which the
-  // replacement fallback prevents; the guard keeps the loop total anyway.
-  while (history.size() < config_.max_rounds && !queue.empty()) {
-    // The loop top is the quiescent point: no event half-processed, the
-    // queue and buffer complete. Checkpoint here on the cadence.
-    if (checkpoint_log && history.size() > records_at_last_checkpoint &&
-        history.size() % config_.checkpoint_every == 0) {
-      FEDADMM_RETURN_IF_ERROR(
-          CheckpointEventDriven(checkpoint_log.get(), history, state));
-      records_at_last_checkpoint = history.size();
-    }
-    ClientCompletionEvent event = queue.Pop();
-    const double now = event.time;
-    in_flight_[static_cast<size_t>(event.client_id)] = 0;
-
-    bool aggregated = false;
-    if (event.decision.fate == ClientFate::kDropped) {
-      ++pending_dropped;
-      ++drops_since_aggregate;
-    } else {
-      drops_since_aggregate = 0;
-      if (event.decision.fate == ClientFate::kAdmittedPartial) {
-        ++pending_partial;
-        ScalePayload(static_cast<float>(event.decision.work_fraction),
-                     &event.message);
-      }
-      // Serial, in event order: stateful codecs see a deterministic
-      // schedule regardless of thread count.
-      pipeline_.EncodeUplink(event.wave, &event.message);
-      buffer.push_back(std::move(event));
-      aggregated = static_cast<int>(buffer.size()) >= buffer_target;
-    }
-
-    // A full wave of consecutive deadline misses forces a flush: aggregate
-    // whatever the buffer holds (a timeout flush), or — with an empty
-    // buffer — emit the all-dropped record (NaN train_loss, θ untouched).
-    // Either way the run keeps emitting records and terminates even when
-    // every completion event misses the deadline forever.
-    const bool force_flush =
-        !aggregated && drops_since_aggregate >= concurrency;
-
-    if (aggregated || force_flush) {
-      obs::TraceScope aggregate_scope("aggregate", "engine",
-                                      Metrics().phase_aggregate);
-      const int round = history.size();
-      aggregate_scope.set_arg("round", round);
-      RoundRecord record;
-      record.round = round;
-      record.num_selected = static_cast<int>(buffer.size());
-      record.num_dropped = pending_dropped;
-      record.num_admitted_partial = pending_partial;
-      record.sim_seconds = now;
-      pending_dropped = 0;
-      pending_partial = 0;
-      drops_since_aggregate = 0;
-
-      double loss_sum = 0.0;
-      int64_t upload = 0;
-      int64_t upload_raw = 0;
-      double staleness_sum = 0.0;
-      int staleness_max = 0;
-      for (ClientCompletionEvent& e : buffer) {
-        const int staleness = server_version - e.theta_version;
-        staleness_sum += staleness;
-        staleness_max = std::max(staleness_max, staleness);
-        loss_sum += e.message.train_loss;
-        upload += e.message.UploadBytes();
-        upload_raw += e.message.RawBytes();
-        // Discount stale payloads (FedBuff/FedAsync); the raw count still
-        // reaches AggregateOne for methods that adapt further.
-        const double w = weight(staleness);
-        FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
-                          "staleness weight must be finite and >= 0");
-        if (w != 1.0) ScalePayload(static_cast<float>(w), &e.message);
-      }
-      record.train_loss = MeanTrainLoss(loss_sum, buffer.size());
-      record.staleness_mean =
-          buffer.empty() ? std::numeric_limits<double>::quiet_NaN()
-                         : staleness_sum / static_cast<double>(buffer.size());
-      record.staleness_max = staleness_max;
-      record.upload_bytes = upload;
-      record.upload_bytes_raw = upload_raw;
-      record.download_bytes = pending_download_bytes_;
-      record.download_bytes_raw = pending_download_bytes_raw_;
-      pending_download_bytes_ = 0;
-      pending_download_bytes_raw_ = 0;
-
-      if (config_.mode == ExecutionMode::kAsync && !buffer.empty()) {
-        ClientCompletionEvent& e = buffer.front();
-        algorithm_->AggregateOne(std::move(e.message), round,
-                                 server_version - e.theta_version, &theta_);
-        ++server_version;
-      } else if (!buffer.empty()) {
-        std::vector<UpdateMessage> batch;
-        batch.reserve(buffer.size());
-        for (ClientCompletionEvent& e : buffer) {
-          batch.push_back(std::move(e.message));
-        }
-        algorithm_->ServerUpdate(batch, round, &theta_);
-        ++server_version;
-      }
-      buffer.clear();
-      aggregate_scope.Stop();
-
-      // Both stop paths break before the replacement dispatch below, so
-      // every billed download has been flushed into a record by the time
-      // the loop exits — pending_download_bytes_ is always 0 on return.
-      if (FinalizeRecord(record, &watch, &history)) break;
-      if (history.size() >= config_.max_rounds) break;
-    }
-
-    // Refill the freed slot. After an async aggregation this dispatch sees
-    // the fresh θ (and version), which is the whole point of the mode.
-    const int replacement = PickReplacement(wave_counter);
-    if (replacement >= 0) {
-      DispatchWave({replacement}, wave_counter, now, server_version, &queue);
-    }
-    ++wave_counter;
-  }
-  // Final group off the cadence: max_rounds, target accuracy, and a
-  // starved queue all land here, so a finished run restores as finished.
-  if (checkpoint_log && history.size() > records_at_last_checkpoint) {
-    FEDADMM_RETURN_IF_ERROR(
-        CheckpointEventDriven(checkpoint_log.get(), history, state));
-  }
-  return history;
 }
 
 }  // namespace fedadmm

@@ -1,52 +1,55 @@
 /// \file server_loop.h
-/// \brief The federation engine: composable stages under three execution
+/// \brief The federation engine: one event loop under three execution
 /// modes.
 ///
-/// This replaces the old ~200-line `Simulation::Run()` monolith. The loop
-/// composes four stages per round/wave —
+/// Every dispatch wave runs the same stages —
 ///
 ///   selection → CommPipeline (downlink) → ClientExecutor (fan-out)
 ///             → admission (straggler policy) → CommPipeline (uplink)
 ///             → aggregation → metrics
 ///
-/// — and schedules them two ways:
+/// — and every dispatched client becomes a `ClientCompletionEvent`: its
+/// `ComputeClientTiming` finish, as judged by the per-client
+/// `StragglerPolicy::Judge`, fixes the simulated second at which the
+/// server stops tracking it (without a system model every client is
+/// admitted at its dispatch instant). The loop consumes one arrival per
+/// iteration: a dropped arrival is counted, an admitted one is scaled by
+/// its work fraction, encoded, and buffered. The mode chooses only two
+/// things:
 ///
-///   * **sync**: one lockstep pass per round, exactly the historical
-///     control flow (same RNG forks, same float operations, same
-///     accounting order), so trajectories are bitwise identical to the
-///     monolith.
-///   * **event-driven** (buffered / async): each dispatched client becomes
-///     a `ClientCompletionEvent` on a `sys/ShardedEventQueue` — one heap
-///     per aggregation worker (`SimulationConfig::num_shards`), merged on
-///     (time, sequence), which pops identically to a single global heap at
-///     every W — scheduled at its own `ComputeClientTiming` finish (as
-///     shaped by the straggler
-///     policy, reused as the per-event admission predicate). The server
-///     pops events in simulated-time order: async aggregates every
-///     admitted arrival via `FederatedAlgorithm::AggregateOne`; buffered
-///     collects `buffer_size` admitted arrivals, discounts them by the
-///     staleness weight and applies one batched `ServerUpdate`. Every
-///     aggregation emits one `RoundRecord` whose `sim_seconds` is the
-///     triggering event's absolute time. A full wave of consecutive drops
-///     with nothing to aggregate emits an all-dropped record (NaN
-///     train_loss), so a starved deadline still terminates after
-///     `max_rounds` records.
+///   * the **aggregation trigger** — the whole wave (sync: a barrier),
+///     `buffer_size` arrivals (buffered: one batched `ServerUpdate` over
+///     staleness-discounted payloads), or one arrival (async:
+///     `FederatedAlgorithm::AggregateOne`);
+///   * the **refill** — the next cohort after the barrier (sync), or one
+///     replacement client per freed slot (buffered / async).
+///
+/// Sync keeps its wave in dispatch order, so the barrier aggregates in
+/// selection order (the order `AxpyMany` sums in) and its `sim_seconds`
+/// is the latest arrival. Event modes route arrivals through a
+/// `sys/ShardedEventQueue` — one heap per aggregation worker
+/// (`SimulationConfig::num_shards`), merged on (time, sequence), which
+/// pops identically to a single global heap at every W. Every aggregation
+/// emits one `RoundRecord`; in event modes a full wave of consecutive
+/// drops with nothing to aggregate emits an all-dropped record (NaN
+/// train_loss), so a starved deadline still terminates after
+/// `max_rounds` records.
 ///
 /// Determinism: parallel client execution only happens within a dispatch
 /// wave (all members share one θ snapshot and per-(wave, client) RNG
-/// forks); everything else runs serially in event order, which the queue
-/// resolves by (time, dispatch sequence). Hence all three modes replay
-/// bitwise for a fixed seed, independent of thread count.
+/// forks); everything else runs serially in arrival order. Hence all
+/// three modes replay bitwise for a fixed seed, independent of thread
+/// count.
 
 #ifndef FEDADMM_FL_SERVER_LOOP_H_
 #define FEDADMM_FL_SERVER_LOOP_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "fl/client_executor.h"
 #include "fl/comm_pipeline.h"
-#include "fl/round_context.h"
 #include "fl/simulation.h"
 #include "obs/trace.h"
 #include "sys/event_queue.h"
@@ -78,19 +81,41 @@ class ServerLoop {
   Result<History> Run();
 
  private:
-  /// Lockstep rounds; bitwise identical to the historical monolith.
-  Result<History> RunSync();
-  /// Event-queue driven buffered/async modes; requires a system model.
-  Result<History> RunEventDriven();
+  /// Draws θ⁰, sets up the algorithm, restores or dispatches the first
+  /// wave, and runs the event loop shared by all three modes (see the
+  /// file comment) to completion.
+  Result<History> RunLoop();
 
-  /// Draws θ⁰ and calls the algorithm's Setup (shared by both paths).
-  void InitializeModel();
+  /// The selector's draw for `wave`, timed as the select phase.
+  std::vector<int> Select(int wave);
 
-  /// Shared record tail for both paths: evaluates on the eval_every
-  /// cadence (NaN sentinels otherwise), stamps wall seconds, appends to
-  /// `history`, notifies the observer and logs. Returns true when the
-  /// record's evaluated accuracy reached the configured target (caller
-  /// stops). `record.round` must be set; `watch` is restarted.
+  /// Dispatches `clients` as `wave` at the current simulated time against
+  /// the current θ: downlink encode + billing, the client phase (in
+  /// process, or collected from the ingest source), uplink size
+  /// prediction, and one judged completion event per client — appended
+  /// to the open sync wave in dispatch order, or pushed onto its shard's
+  /// heap in event modes. Sync also draws the next cohort here and hints
+  /// the store to prefetch it.
+  Status DispatchWave(const std::vector<int>& clients, int wave);
+
+  /// Picks a replacement client for a freed slot: the selector's draw for
+  /// `wave` filtered by in-flight status, falling back to the first idle
+  /// client id. Returns -1 when every client is busy.
+  int PickReplacement(int wave);
+
+  /// Counts a dropped arrival, or scales (partial admission), encodes and
+  /// buffers an admitted one.
+  void Admit(ClientCompletionEvent event);
+
+  /// Turns the aggregation buffer into record `round` — loss, byte and
+  /// staleness accounting, the fates counted since the last aggregation —
+  /// and applies it to θ. Clears the buffer and the pending counters.
+  RoundRecord Aggregate(int round);
+
+  /// Evaluates on the eval_every cadence (NaN sentinels otherwise),
+  /// stamps wall seconds, appends to `history`, notifies the observer and
+  /// logs. Returns true when the record's evaluated accuracy reached the
+  /// configured target (caller stops). `watch` is restarted.
   bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
                       History* history);
 
@@ -99,56 +124,17 @@ class ServerLoop {
   /// fields are zeroed in deterministic-only mode.
   void WriteRoundTrace(const RoundRecord& record);
 
-  /// Dispatches `clients` at simulated time `now` against the current θ:
-  /// downlink encode + billing, parallel client execution, uplink size
-  /// prediction, admission judgment, and one completion event per client,
-  /// pushed onto its shard's heap.
-  void DispatchWave(const std::vector<int>& clients, int wave, double now,
-                    int theta_version, ShardedEventQueue* queue);
+  /// Appends one committed checkpoint group: a mode tag, θ, the selection
+  /// RNG, algorithm extras, `history`, the loop state below (event queue
+  /// and aggregation buffer included), and every touched store slab.
+  Status WriteCheckpoint(SlabLog* log, const History& history);
 
-  /// Picks a replacement client for a freed slot: the selector's draw for
-  /// `wave` filtered by in-flight status, falling back to the first idle
-  /// client id. Returns -1 when every client is busy.
-  int PickReplacement(int wave);
+  /// Restores from the newest committed group. Returns false (nothing
+  /// touched) when no committed group exists — the fresh start; errors
+  /// on a malformed group or one written by the other kind of mode.
+  Result<bool> TryRestore(History* history);
 
-  /// The event loop's checkpointable locals, borrowed by the (de)serialize
-  /// helpers below (the loop owns them; the helpers read or overwrite).
-  struct EventLoopState {
-    ShardedEventQueue* queue = nullptr;
-    std::vector<ClientCompletionEvent>* buffer = nullptr;
-    int* wave_counter = nullptr;
-    int* server_version = nullptr;
-    int* concurrency = nullptr;
-    int* pending_dropped = nullptr;
-    int* pending_partial = nullptr;
-    int* drops_since_aggregate = nullptr;
-  };
-
-  /// Opens (or resumes) the checkpoint log when `checkpoint_path` is set;
-  /// null otherwise. Never truncates an existing log — groups stack.
-  Result<std::unique_ptr<SlabLog>> OpenCheckpointLog();
-
-  /// Appends one committed sync-mode checkpoint group: θ, selection RNG,
-  /// algorithm extras, `history`, the pre-drawn next cohort, and every
-  /// touched store slab.
-  Status CheckpointSync(SlabLog* log, const History& history,
-                        const std::vector<int>& pending_selected,
-                        bool have_pending);
-
-  /// Restores sync-mode state from the newest committed group. Returns
-  /// false (untouched outputs) when no committed group exists — the fresh
-  /// start; errors only on a malformed committed group.
-  Result<bool> TryRestoreSync(History* history,
-                              std::vector<int>* pending_selected,
-                              bool* have_pending);
-
-  /// Event-mode twins: the blob additionally carries the dispatch
-  /// sequence, pending download billing, wave/version counters, the
-  /// aggregation buffer, and the full event queue.
-  Status CheckpointEventDriven(SlabLog* log, const History& history,
-                               const EventLoopState& state);
-  Result<bool> TryRestoreEventDriven(History* history,
-                                     const EventLoopState& state);
+  bool sync() const { return config_.mode == ExecutionMode::kSync; }
 
   FederatedProblem* problem_;
   FederatedAlgorithm* algorithm_;
@@ -175,11 +161,39 @@ class ServerLoop {
   /// Opt-in per-round JSONL trace (closed/no-op unless configured).
   obs::RoundTraceWriter round_trace_;
 
-  // Event-mode state (unused by sync).
-  std::vector<char> in_flight_;
+  /// Staleness discount; constant 1 in sync, where every update is fresh.
+  StalenessWeightFn staleness_weight_;
+
+  // Loop state. Everything below except `wave_` rides in a checkpoint;
+  // sync checkpoints land between waves, when `wave_` is empty.
+  /// Simulated time: the latest arrival consumed so far.
+  double now_ = 0.0;
+  /// Monotone dispatch counter; the (time, sequence) tie-break.
   int64_t sequence_ = 0;
+  /// Next dispatch wave id (in sync, the next round).
+  int wave_counter_ = 0;
+  /// Aggregations applied to θ; staleness is measured against it.
+  int server_version_ = 0;
+  /// Event modes: in-flight slots, fixed by the initial wave.
+  int concurrency_ = 0;
+  /// Download bytes billed at dispatch, flushed into the next record.
   int64_t pending_download_bytes_ = 0;
   int64_t pending_download_bytes_raw_ = 0;
+  /// Fates counted since the last aggregation.
+  int pending_dropped_ = 0;
+  int pending_partial_ = 0;
+  int drops_since_aggregate_ = 0;
+  /// Admitted arrivals awaiting the trigger, in arrival order.
+  std::vector<ClientCompletionEvent> buffer_;
+  /// Event modes: dispatched, not yet arrived.
+  ShardedEventQueue queue_;
+  /// Sync: the open wave's remaining arrivals, in dispatch order.
+  std::deque<ClientCompletionEvent> wave_;
+  /// Sync: the next round's cohort, drawn one round ahead so the store
+  /// can prefetch it; empty when not drawn yet.
+  std::vector<int> next_cohort_;
+  /// Clients dispatched and not yet arrived.
+  std::vector<char> in_flight_;
 };
 
 }  // namespace fedadmm

@@ -7,15 +7,6 @@
 namespace fedadmm {
 namespace {
 
-// The server stops waiting when the last tracked client does.
-double MaxFinishSeconds(const std::vector<StragglerDecision>& decisions) {
-  double finish = 0.0;
-  for (const StragglerDecision& d : decisions) {
-    finish = std::max(finish, d.finish_seconds);
-  }
-  return finish;
-}
-
 // Fraction of the broadcast received by `cutoff` seconds into the round,
 // approximated as time-proportional over the download leg.
 double ReceivedDownloadFraction(const ClientTiming& timing, double cutoff) {
@@ -31,11 +22,6 @@ StragglerDecision WaitForAllPolicy::Judge(const ClientTiming& timing) const {
   d.fate = ClientFate::kAdmitted;
   d.finish_seconds = timing.TotalSeconds();
   return d;
-}
-
-double WaitForAllPolicy::RoundSeconds(
-    const std::vector<StragglerDecision>& decisions) const {
-  return MaxFinishSeconds(decisions);
 }
 
 DeadlineDropPolicy::DeadlineDropPolicy(double deadline_seconds)
@@ -56,11 +42,6 @@ StragglerDecision DeadlineDropPolicy::Judge(const ClientTiming& timing) const {
     d.download_fraction = ReceivedDownloadFraction(timing, deadline_seconds_);
   }
   return d;
-}
-
-double DeadlineDropPolicy::RoundSeconds(
-    const std::vector<StragglerDecision>& decisions) const {
-  return MaxFinishSeconds(decisions);
 }
 
 DeadlineAdmitPartialPolicy::DeadlineAdmitPartialPolicy(double deadline_seconds)
@@ -91,11 +72,6 @@ StragglerDecision DeadlineAdmitPartialPolicy::Judge(
   }
   d.finish_seconds = deadline_seconds_;
   return d;
-}
-
-double DeadlineAdmitPartialPolicy::RoundSeconds(
-    const std::vector<StragglerDecision>& decisions) const {
-  return MaxFinishSeconds(decisions);
 }
 
 }  // namespace fedadmm

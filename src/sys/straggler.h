@@ -22,7 +22,6 @@
 #define FEDADMM_SYS_STRAGGLER_H_
 
 #include <string>
-#include <vector>
 
 #include "sys/virtual_clock.h"
 
@@ -64,10 +63,6 @@ class StragglerPolicy {
   /// Judges one client from its simulated timing.
   virtual StragglerDecision Judge(const ClientTiming& timing) const = 0;
 
-  /// The round's simulated duration given every client's verdict.
-  virtual double RoundSeconds(
-      const std::vector<StragglerDecision>& decisions) const = 0;
-
   virtual std::string name() const = 0;
 };
 
@@ -75,8 +70,6 @@ class StragglerPolicy {
 class WaitForAllPolicy : public StragglerPolicy {
  public:
   StragglerDecision Judge(const ClientTiming& timing) const override;
-  double RoundSeconds(
-      const std::vector<StragglerDecision>& decisions) const override;
   std::string name() const override { return "wait-for-all"; }
 };
 
@@ -86,8 +79,6 @@ class DeadlineDropPolicy : public StragglerPolicy {
   explicit DeadlineDropPolicy(double deadline_seconds);
 
   StragglerDecision Judge(const ClientTiming& timing) const override;
-  double RoundSeconds(
-      const std::vector<StragglerDecision>& decisions) const override;
   std::string name() const override { return "deadline-drop"; }
 
   double deadline_seconds() const { return deadline_seconds_; }
@@ -112,8 +103,6 @@ class DeadlineAdmitPartialPolicy : public StragglerPolicy {
   explicit DeadlineAdmitPartialPolicy(double deadline_seconds);
 
   StragglerDecision Judge(const ClientTiming& timing) const override;
-  double RoundSeconds(
-      const std::vector<StragglerDecision>& decisions) const override;
   std::string name() const override { return "deadline-admit-partial"; }
 
   double deadline_seconds() const { return deadline_seconds_; }

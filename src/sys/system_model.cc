@@ -2,26 +2,6 @@
 
 namespace fedadmm {
 
-RoundJudgment SystemModel::JudgeRound(
-    const std::vector<UpdateMessage>& updates,
-    int64_t download_bytes_per_client) const {
-  RoundJudgment judgment;
-  judgment.decisions.reserve(updates.size());
-  for (const UpdateMessage& msg : updates) {
-    const ClientTiming timing =
-        ComputeClientTiming(fleet_.profile(msg.client_id), msg.steps_run,
-                            msg.UploadBytes(), download_bytes_per_client);
-    const StragglerDecision decision = policy_->Judge(timing);
-    if (decision.fate == ClientFate::kDropped) ++judgment.num_dropped;
-    if (decision.fate == ClientFate::kAdmittedPartial) {
-      ++judgment.num_admitted_partial;
-    }
-    judgment.decisions.push_back(decision);
-  }
-  judgment.round_seconds = policy_->RoundSeconds(judgment.decisions);
-  return judgment;
-}
-
 Result<std::unique_ptr<StragglerPolicy>> MakeStragglerPolicy(
     const std::string& name, double deadline_seconds) {
   if (name == "wait-for-all") {

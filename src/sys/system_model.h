@@ -1,11 +1,12 @@
 /// \file system_model.h
 /// \brief The façade the simulator talks to: fleet + straggler policy.
 ///
-/// A `SystemModel` owns a `FleetModel` and a `StragglerPolicy` and, given a
-/// round's uploaded messages, produces the round's simulated duration and a
-/// per-update verdict (admit / admit-partial / drop). It is stateless
-/// across rounds — the simulator owns the `VirtualClock` — so the same
-/// model can be shared by sequential runs.
+/// A `SystemModel` owns a `FleetModel` and a `StragglerPolicy`. The engine
+/// (fl/server_loop.h) times every dispatched client against its fleet
+/// profile (`ComputeClientTiming`) and lets `policy().Judge` decide its
+/// fate (admit / admit-partial / drop) and the simulated second the server
+/// stops tracking it. The model is stateless — the engine owns simulated
+/// time — so the same model can be shared by sequential runs.
 
 #ifndef FEDADMM_SYS_SYSTEM_MODEL_H_
 #define FEDADMM_SYS_SYSTEM_MODEL_H_
@@ -13,24 +14,12 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "fl/types.h"
 #include "sys/profiles.h"
 #include "sys/straggler.h"
-#include "sys/virtual_clock.h"
+#include "util/status.h"
 
 namespace fedadmm {
-
-/// \brief One round's system-level outcome.
-struct RoundJudgment {
-  /// Verdicts, parallel to the update vector passed to `JudgeRound`.
-  std::vector<StragglerDecision> decisions;
-  /// Simulated duration of the round (the policy-shaped critical path).
-  double round_seconds = 0.0;
-  int num_dropped = 0;
-  int num_admitted_partial = 0;
-};
 
 /// \brief Bundles the fleet and the straggler policy behind one interface.
 class SystemModel {
@@ -45,12 +34,6 @@ class SystemModel {
 
   /// "<fleet>/<policy>", e.g. "cellular/deadline-drop".
   std::string name() const { return fleet_.name() + "/" + policy_->name(); }
-
-  /// Times every update against its client's profile and applies the
-  /// straggler policy. `download_bytes_per_client` is what each client
-  /// pulled before training (algorithm-dependent; SCAFFOLD downloads 2d).
-  RoundJudgment JudgeRound(const std::vector<UpdateMessage>& updates,
-                           int64_t download_bytes_per_client) const;
 
  private:
   FleetModel fleet_;

@@ -1,7 +1,5 @@
 #include "sys/virtual_clock.h"
 
-#include <algorithm>
-
 #include "util/status.h"
 
 namespace fedadmm {
@@ -26,20 +24,6 @@ ClientTiming ComputeClientTiming(const ClientSystemProfile& profile,
         static_cast<double>(upload_bytes) / net.upload_bytes_per_second;
   }
   return t;
-}
-
-double CriticalPathSeconds(const std::vector<ClientTiming>& timings) {
-  double critical = 0.0;
-  for (const ClientTiming& t : timings) {
-    critical = std::max(critical, t.TotalSeconds());
-  }
-  return critical;
-}
-
-void VirtualClock::Advance(double seconds) {
-  FEDADMM_CHECK_MSG(seconds >= 0.0,
-                    "VirtualClock: time must not run backwards");
-  now_ += seconds;
 }
 
 }  // namespace fedadmm

@@ -3,17 +3,17 @@
 ///
 /// `RoundRecord::wall_seconds` measures the host machine, which says nothing
 /// about deployment time: a simulator crunches a straggler's 10 epochs as
-/// fast as a flagship's. The virtual clock instead derives each client's
+/// fast as a flagship's. Simulated time instead derives each client's
 /// round duration from its `ClientSystemProfile` — download, compute at
-/// `steps_per_second`, upload — and advances by the round's critical path
-/// (as shaped by the straggler policy). Pure arithmetic: bitwise
-/// deterministic and free of host-speed effects.
+/// `steps_per_second`, upload; the engine (fl/server_loop.h) schedules the
+/// client's arrival at its dispatch time plus the straggler policy's
+/// finish time. Pure arithmetic: bitwise deterministic and free of
+/// host-speed effects.
 
 #ifndef FEDADMM_SYS_VIRTUAL_CLOCK_H_
 #define FEDADMM_SYS_VIRTUAL_CLOCK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sys/profiles.h"
 
@@ -36,22 +36,6 @@ struct ClientTiming {
 ClientTiming ComputeClientTiming(const ClientSystemProfile& profile,
                                  int steps_run, int64_t upload_bytes,
                                  int64_t download_bytes);
-
-/// \brief The round's critical path: the slowest client's total (0 if none).
-double CriticalPathSeconds(const std::vector<ClientTiming>& timings);
-
-/// \brief Monotone simulated-time accumulator for one training run.
-class VirtualClock {
- public:
-  /// Advances by `seconds` (must be >= 0).
-  void Advance(double seconds);
-
-  /// Simulated seconds elapsed since construction.
-  double now() const { return now_; }
-
- private:
-  double now_ = 0.0;
-};
 
 }  // namespace fedadmm
 

@@ -20,7 +20,7 @@ TEST(WaitForAllTest, AdmitsEverythingAndWaitsForSlowest) {
   EXPECT_EQ(fast.fate, ClientFate::kAdmitted);
   EXPECT_EQ(slow.fate, ClientFate::kAdmitted);
   EXPECT_DOUBLE_EQ(slow.work_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(policy.RoundSeconds({fast, slow}), 50.2);
+  EXPECT_DOUBLE_EQ(slow.finish_seconds, 50.2);
 }
 
 TEST(DeadlineDropTest, LateClientsAreDropped) {
@@ -37,10 +37,12 @@ TEST(DeadlineDropTest, LateClientsAreDropped) {
 
 TEST(DeadlineDropTest, RoundLastsUntilLastTrackedClient) {
   DeadlineDropPolicy policy(5.0);
+  // The server tracks each client until its finish_seconds; a sync round
+  // ends at the latest of them.
   const StragglerDecision fast = policy.Judge(Timing(0.0, 1.0, 0.0));
-  EXPECT_DOUBLE_EQ(policy.RoundSeconds({fast}), 1.0);
+  EXPECT_DOUBLE_EQ(fast.finish_seconds, 1.0);
   const StragglerDecision late = policy.Judge(Timing(0.0, 9.0, 0.0));
-  EXPECT_DOUBLE_EQ(policy.RoundSeconds({fast, late}), 5.0);
+  EXPECT_DOUBLE_EQ(late.finish_seconds, 5.0);
 }
 
 TEST(DeadlineAdmitPartialTest, InTimeClientIsUntouched) {

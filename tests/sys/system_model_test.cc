@@ -54,27 +54,37 @@ History RunWithModel(const SystemModel* model, int threads,
   return history;
 }
 
-TEST(SystemModelTest, JudgeRoundCountsFates) {
-  // Two clients: a fast one and a 10x-slower straggler.
+TEST(SystemModelTest, SyncRoundCountsFatesAndWaitsOutTheDeadline) {
+  // Two clients, both selected every round: a fast one that finishes well
+  // inside the 1 s deadline and a straggler that misses it.
   ClientSystemProfile fast;
-  fast.device.steps_per_second = 1000.0;
+  fast.device.steps_per_second = 1.0e6;
+  fast.network.latency_seconds = 0.0;
   ClientSystemProfile slow = fast;
-  slow.device.steps_per_second = 10.0;
+  slow.device.steps_per_second = 1.0e-3;
   SystemModel model(FleetModel({fast, slow}),
                     std::make_unique<DeadlineDropPolicy>(1.0));
-
-  std::vector<UpdateMessage> updates(2);
-  updates[0].client_id = 0;
-  updates[0].steps_run = 100;  // 0.1s: in time
-  updates[1].client_id = 1;
-  updates[1].steps_run = 100;  // 10s: dropped
-  const RoundJudgment judgment = model.JudgeRound(updates, 0);
-  ASSERT_EQ(judgment.decisions.size(), 2u);
-  EXPECT_EQ(judgment.decisions[0].fate, ClientFate::kAdmitted);
-  EXPECT_EQ(judgment.decisions[1].fate, ClientFate::kDropped);
-  EXPECT_EQ(judgment.num_dropped, 1);
-  EXPECT_EQ(judgment.num_admitted_partial, 0);
-  EXPECT_DOUBLE_EQ(judgment.round_seconds, 1.0);  // waits out the deadline
+  QuadraticSpec spec = Spec();
+  spec.num_clients = 2;
+  QuadraticProblem problem(spec);
+  FedAdmm algo(Options());
+  FullParticipationSelector selector(2);
+  SimulationConfig config;
+  config.max_rounds = 2;
+  config.seed = 7;
+  Simulation sim(&problem, &algo, &selector, config);
+  sim.set_system_model(&model);
+  const History history = std::move(sim.Run()).ValueOrDie();
+  ASSERT_EQ(history.size(), 2);
+  for (const RoundRecord& r : history.records()) {
+    EXPECT_EQ(r.num_selected, 2);  // the cohort, drops included
+    EXPECT_EQ(r.num_dropped, 1);
+    EXPECT_EQ(r.num_admitted_partial, 0);
+  }
+  // Each round lasts until the last tracked client: the dropped one,
+  // waited out to the deadline.
+  EXPECT_DOUBLE_EQ(history.records()[0].sim_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(history.records()[1].sim_seconds, 2.0);
 }
 
 TEST(SystemModelTest, WaitForAllMatchesUnmodeledTrajectoryBitwise) {

@@ -45,24 +45,5 @@ TEST(ClientTimingTest, SlowerDeviceTakesLonger) {
   EXPECT_GT(straggler.TotalSeconds(), fast.TotalSeconds());
 }
 
-TEST(CriticalPathTest, SlowestClientDominates) {
-  ClientTiming a;
-  a.compute_seconds = 1.0;
-  ClientTiming b;
-  b.compute_seconds = 2.0;
-  b.upload_seconds = 0.5;
-  EXPECT_DOUBLE_EQ(CriticalPathSeconds({a, b}), 2.5);
-  EXPECT_DOUBLE_EQ(CriticalPathSeconds({}), 0.0);
-}
-
-TEST(VirtualClockTest, AdvancesMonotonically) {
-  VirtualClock clock;
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-  clock.Advance(1.5);
-  clock.Advance(0.0);
-  clock.Advance(2.5);
-  EXPECT_DOUBLE_EQ(clock.now(), 4.0);
-}
-
 }  // namespace
 }  // namespace fedadmm
