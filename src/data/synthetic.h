@@ -15,7 +15,7 @@
 ///   * a sample is `prototype + Gaussian pixel noise`, optionally shifted by
 ///     ±1 pixel (data augmentation-like jitter increasing difficulty).
 ///
-/// See DESIGN.md §5 for the substitution rationale.
+/// README.md ("Synthetic stand-ins") gives the substitution rationale.
 
 #ifndef FEDADMM_DATA_SYNTHETIC_H_
 #define FEDADMM_DATA_SYNTHETIC_H_

@@ -1,9 +1,9 @@
 /// \file ingest.h
 /// \brief The seam between the federation engine and a serving frontend.
 ///
-/// With an `IngestSource` attached (Simulation::set_ingest), the sync
-/// server loop stops *simulating* the client phase in-process and instead
-/// collects the wave from whatever the source feeds it — in src/serve, a
+/// With an `IngestSource` attached (Simulation::set_ingest), the engine's
+/// sync waves stop *simulating* the client phase in-process and instead
+/// collect it from whatever the source feeds them — in src/serve, a
 /// wire-protocol frontend whose clients connect, pull the broadcast, and
 /// push encoded updates over a Transport. The engine keeps everything else:
 /// selection, downlink encode + billing, the straggler judgment, download
@@ -17,12 +17,15 @@
 ///     requires a deterministic, stateless uplink codec (or none): the
 ///     engine cannot re-encode what it never computed, and a remote
 ///     encoder cannot share the server's Rng forks or residual history.
+///     (The engine runs every mode through one event loop, so lifting the
+///     sync-only rule needs no second client path — only the refusal in
+///     `ServerLoop::Run` and an event-mode collection contract.)
 ///   * `CollectWave(round)` returns one `UpdateMessage` per cohort member,
 ///     in selection order, *including* clients the straggler policy will
-///     reject — the loop's own `SystemModel::JudgeRound` remains the
-///     single judge, and the frontend's connection-level admission
-///     predicate (the same per-client policy function) merely mirrors its
-///     verdicts into ACK frames.
+///     reject — the engine's per-client `StragglerPolicy::Judge` of each
+///     completion event remains the single judge, and the frontend's
+///     connection-level admission predicate (the same per-client policy
+///     function) merely mirrors its verdicts into ACK frames.
 ///   * Messages carry decoded payloads (the frontend decodes each upload
 ///     exactly once, on the owning shard worker) with `wire_bytes` stamped
 ///     to the actual frame payload size (-1 when no uplink codec ran), so

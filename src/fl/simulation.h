@@ -1,15 +1,14 @@
 /// \file simulation.h
 /// \brief Public entry point of the federated training engine.
 ///
-/// `Simulation` validates its inputs and delegates to the event-driven
-/// federation engine (fl/server_loop.h), which composes four stages —
-/// selection, `CommPipeline` (codec billing), `ClientExecutor` (thread-pool
-/// fan-out) and aggregation — under one of three execution modes:
+/// `Simulation` validates its inputs and delegates to the federation engine
+/// (fl/server_loop.h): one event loop over selection, `CommPipeline`
+/// (codec billing), `ClientExecutor` (thread-pool fan-out) and aggregation,
+/// whose aggregation trigger and refill follow one of three modes:
 ///
 ///   * `kSync`     — the paper's synchronous loop (Fig. 1 / Fig. 2): every
-///                   selected client reports before the server aggregates.
-///                   Bitwise identical to the historical monolithic
-///                   `Simulation::Run()`, with or without a system model.
+///                   selected client reports before the server aggregates
+///                   (a wave barrier), with or without a system model.
 ///   * `kBuffered` — FedBuff-style semi-synchronous: the server aggregates
 ///                   as soon as `buffer_size` uploads arrive; late updates
 ///                   carry a staleness counter and are discounted by the

@@ -477,9 +477,9 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
   }
 
   // Connection-level admission: the straggler policy as a per-client
-  // predicate — the same pure Judge(ComputeClientTiming(...)) the loop
-  // applies in SystemModel::JudgeRound, so this ACK mirrors the final
-  // verdict instead of inventing a second policy.
+  // predicate — the same pure Judge(ComputeClientTiming(...)) the engine
+  // applies to each client's completion event, so this ACK mirrors the
+  // final verdict instead of inventing a second policy.
   AckBody ack;
   ack.round = h.round;
   if (options_.system_model != nullptr) {

@@ -23,9 +23,9 @@
 ///      mirrored verdict;
 ///   4. `CollectWave` blocks the loop until every cohort slot resolved
 ///      and returns the messages in selection order — including clients
-///      the policy will reject, so `SystemModel::JudgeRound` inside the
-///      loop stays the single source of truth and serve-mode θ is bitwise
-///      the in-process trajectory.
+///      the policy will reject, so the engine's per-client judgment stays
+///      the single source of truth and serve-mode θ is bitwise the
+///      in-process trajectory.
 ///
 /// A decode failure resolves the wave with a sticky error: `CollectWave`
 /// returns Status (never aborts, never deadlocks) and the offending

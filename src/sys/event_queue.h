@@ -1,16 +1,15 @@
 /// \file event_queue.h
 /// \brief Schedulable client-completion events for the federation engine.
 ///
-/// The synchronous simulator collapses a round's per-client timings into a
-/// single critical-path maximum. The event-driven execution modes
-/// (fl/server_loop.h) instead keep every client's finish time as its own
-/// *event*: when a client is dispatched, its `ClientTiming` (from
+/// The federation engine (fl/server_loop.h) keeps every dispatched
+/// client's finish time as its own *event*: its `ClientTiming` (from
 /// `ComputeClientTiming`) plus the straggler policy's verdict fix the
-/// absolute simulated second at which the server stops tracking it, and the
-/// resulting `ClientCompletionEvent` is pushed onto an `EventQueue`. The
-/// server loop pops events in time order and reacts — aggregate
-/// immediately (async), buffer until K arrivals (buffered), or count a
-/// drop — so slow clients never stall fast ones.
+/// absolute simulated second at which the server stops tracking it. In the
+/// event-driven modes the resulting `ClientCompletionEvent` is pushed onto
+/// an `EventQueue` and the loop pops events in time order — aggregating
+/// immediately (async), buffering until K arrivals (buffered), or counting
+/// a drop — so slow clients never stall fast ones. A sync wave's events
+/// skip the queue: the barrier consumes them in dispatch order.
 ///
 /// Determinism: events are ordered by (time, sequence). `sequence` is the
 /// monotone dispatch counter, so ties between clients finishing at the same
