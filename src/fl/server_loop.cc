@@ -171,7 +171,6 @@ Result<History> ServerLoop::Run() {
     }
   }
   if (ingest_ != nullptr) {
-    // Serve mode (fl/ingest.h): what keeps its trajectory reproducible.
     if (!sync()) {
       return Status::InvalidArgument(
           "Simulation: an ingest source requires sync mode (event modes "
@@ -198,9 +197,8 @@ Result<History> ServerLoop::Run() {
           "' needs a system model (event times come from the virtual "
           "clock)");
     }
-    // Methods whose aggregation breaks under per-arrival or small-batch
-    // updates refuse here (FedADMM with a fixed η overshoots m-fold;
-    // FedPD cannot form its full-population mean).
+    // Methods whose aggregation breaks under small batches refuse here
+    // (fixed-η FedADMM overshoots m-fold; FedPD needs the full mean).
     FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
   }
   if (!config_.round_trace_path.empty()) {
@@ -278,6 +276,7 @@ Result<History> ServerLoop::RunLoop() {
       if (cohort.empty()) cohort = Select(wave);
       FEDADMM_CHECK_MSG(!cohort.empty(), "selector returned empty set");
       FEDADMM_RETURN_IF_ERROR(DispatchWave(cohort, wave));
+      buffer_.reserve(wave_.size());  // no regrowth while the wave drains
     }
     if (!sync() && queue_.empty()) break;
 
@@ -634,9 +633,9 @@ Result<bool> ServerLoop::TryRestore(History* history) {
     queue_.Push(std::move(e));
   }
   FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
-  next_cohort_.resize(static_cast<size_t>(count));
-  for (int& client : next_cohort_) {
+  for (int i = 0, client = 0; i < count; ++i) {
     FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &client));
+    next_cohort_.push_back(client);
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {
     FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
