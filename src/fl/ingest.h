@@ -17,9 +17,6 @@
 ///     requires a deterministic, stateless uplink codec (or none): the
 ///     engine cannot re-encode what it never computed, and a remote
 ///     encoder cannot share the server's Rng forks or residual history.
-///     (The engine runs every mode through one event loop, so lifting the
-///     sync-only rule needs no second client path — only the refusal in
-///     `ServerLoop::Run` and an event-mode collection contract.)
 ///   * `CollectWave(round)` returns one `UpdateMessage` per cohort member,
 ///     in selection order, *including* clients the straggler policy will
 ///     reject — the engine's per-client `StragglerPolicy::Judge` of each

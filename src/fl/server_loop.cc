@@ -294,8 +294,8 @@ Result<History> ServerLoop::RunLoop() {
     // untouched) — so a deadline every arrival misses still terminates.
     const bool trigger =
         sync() ? wave_.empty()
-               : static_cast<int>(buffer_.size()) >= buffer_target ||
-                     drops_since_aggregate_ >= concurrency_;
+               : (static_cast<int>(buffer_.size()) >= buffer_target ||
+                  drops_since_aggregate_ >= concurrency_);
     if (trigger) {
       if (FinalizeRecord(Aggregate(history.size()), &watch, &history)) break;
       if (history.size() >= config_.max_rounds) break;
@@ -380,8 +380,8 @@ Status ServerLoop::DispatchWave(const std::vector<int>& clients, int wave) {
     // A client dropped mid-download is billed the received fraction.
     pending_download_bytes_ += BilledBytes(event.decision.download_fraction,
                                            downlink.per_client_bytes);
-    pending_download_bytes_raw_ += BilledBytes(
-        event.decision.download_fraction, downlink.per_client_bytes_raw);
+    pending_download_bytes_raw_ += BilledBytes(event.decision.download_fraction,
+                                               downlink.per_client_bytes_raw);
     in_flight_[static_cast<size_t>(event.client_id)] = 1;
     if (sync()) {
       wave_.push_back(std::move(event));

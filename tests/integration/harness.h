@@ -35,8 +35,8 @@ struct TestBed {
 /// methods behave as in the paper: an overparameterized (wide MLP)
 /// classifier in the interpolation regime, 12x12 images, a noisy enough
 /// task that clients do not trivially solve it (see README.md, "Synthetic
-/// stand-ins"). With
-/// `cnn = true` the bed uses the scaled two-conv CNN instead.
+/// stand-ins"). With `cnn = true` the bed uses the scaled two-conv CNN
+/// instead.
 inline TestBed MakeTestBed(int clients, bool iid, uint64_t seed = 5,
                            int per_class = 12, float noise = 1.2f,
                            bool cnn = false) {
