@@ -45,7 +45,6 @@
 #define FEDADMM_FL_SERVER_LOOP_H_
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "fl/client_executor.h"
@@ -164,8 +163,9 @@ class ServerLoop {
   /// Staleness discount; constant 1 in sync, where every update is fresh.
   StalenessWeightFn staleness_weight_;
 
-  // Loop state. Everything below except `wave_` rides in a checkpoint;
-  // sync checkpoints land between waves, when `wave_` is empty.
+  // Loop state. A checkpoint carries all of it except `wave_` (sync
+  // checkpoints land between waves, when it is empty) and `in_flight_`
+  // (exactly the queued clients).
   /// Simulated time: the latest arrival consumed so far.
   double now_ = 0.0;
   /// Monotone dispatch counter; the (time, sequence) tie-break.
