@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 namespace fedadmm {
@@ -43,16 +44,29 @@ Result<std::vector<int>> Rng::SampleWithoutReplacement(int n, int k) {
     return Status::InvalidArgument(
         "SampleWithoutReplacement: k exceeds population size");
   }
-  // Partial Fisher–Yates: O(n) memory, O(n + k) time. Population sizes in the
-  // simulator are at most a few thousand clients, so this is fine.
-  std::vector<int> pool(n);
-  for (int i = 0; i < n; ++i) pool[i] = i;
-  for (int i = 0; i < k; ++i) {
-    int j = static_cast<int>(UniformInt(i, n - 1));
+  // Partial Fisher–Yates on a per-thread identity array kept across calls,
+  // so a draw costs O(k) rather than the O(n) of building the array. Every
+  // call swaps its entries back, so the array is the identity again when it
+  // returns.
+  thread_local std::vector<int> pool;
+  if (pool.size() < static_cast<size_t>(n)) {
+    const int old_size = static_cast<int>(pool.size());
+    pool.resize(n);
+    std::iota(pool.begin() + old_size, pool.end(), old_size);
+  }
+  // out[i] holds swap target j_i until the undo pass replaces it with pick
+  // i. Later swaps touch only positions > i, so pool[i] still holds pick i
+  // when the undo pass reaches it. The targets do not depend on the array,
+  // so all are drawn first and the swaps' cache misses overlap.
+  std::vector<int> out(k);
+  for (int i = 0; i < k; ++i) out[i] = static_cast<int>(UniformInt(i, n - 1));
+  for (int i = 0; i < k; ++i) std::swap(pool[i], pool[out[i]]);
+  for (int i = k - 1; i >= 0; --i) {
+    const int j = out[i];
+    out[i] = pool[i];
     std::swap(pool[i], pool[j]);
   }
-  pool.resize(k);
-  return pool;
+  return out;
 }
 
 std::vector<double> Rng::Dirichlet(int k, double alpha) {

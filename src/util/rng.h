@@ -65,6 +65,9 @@ class Rng {
 
   /// Samples `k` distinct values from {0, ..., n-1}, uniformly at random.
   /// Returns InvalidArgument if k > n or either argument is negative.
+  /// Costs O(k): it runs a partial Fisher–Yates on an identity array that
+  /// each sampling thread keeps between calls, 4·n bytes for the largest
+  /// `n` that thread has sampled.
   Result<std::vector<int>> SampleWithoutReplacement(int n, int k);
 
   /// Samples from a symmetric Dirichlet(alpha) distribution of dimension `k`.

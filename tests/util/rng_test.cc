@@ -6,6 +6,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
 namespace fedadmm {
 namespace {
@@ -158,6 +160,84 @@ TEST(RngTest, SampleWithoutReplacementIsRoughlyUniform) {
   }
   // Each element expected trials * 3/10 = 1500 times.
   for (int c : counts) EXPECT_NEAR(c, 1500, 150);
+}
+
+// The dense partial Fisher–Yates the sampler must match draw for draw: a
+// fresh identity array of n entries on every call.
+std::vector<int> DenseSampleReference(Rng* rng, int n, int k) {
+  std::vector<int> pool(n);
+  std::iota(pool.begin(), pool.end(), 0);
+  for (int i = 0; i < k; ++i) {
+    std::swap(pool[i], pool[rng->UniformInt(i, n - 1)]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+struct SampleCase {
+  int n;
+  int k;
+};
+
+// n ∈ {0, 1, 7, 1000, 100000} × k ∈ {0, 1, n/2, n}, skipping k > n.
+std::vector<SampleCase> SampleGrid() {
+  std::vector<SampleCase> cases;
+  for (const int n : {0, 1, 7, 1000, 100000}) {
+    for (const int k : {0, 1, n / 2, n}) {
+      if (k <= n) cases.push_back({n, k});
+    }
+  }
+  return cases;
+}
+
+// Draws the cases in order from one generator through the sampler and from
+// a same-seed twin through the reference. Counts the cases where the picks
+// or the generators' next UniformInt draw differ.
+int CountReferenceMismatches(uint64_t seed,
+                             const std::vector<SampleCase>& cases) {
+  Rng rng(seed);
+  Rng twin(seed);
+  int mismatches = 0;
+  for (const SampleCase& c : cases) {
+    auto sample = rng.SampleWithoutReplacement(c.n, c.k);
+    if (!sample.ok() ||
+        sample.ValueOrDie() != DenseSampleReference(&twin, c.n, c.k) ||
+        rng.UniformInt(0, 1 << 30) != twin.UniformInt(0, 1 << 30)) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesDenseReference) {
+  for (const uint64_t seed : {19u, 23u, 101u, 202u}) {
+    EXPECT_EQ(CountReferenceMismatches(seed, SampleGrid()), 0) << seed;
+  }
+}
+
+TEST(RngTest, SampleWithoutReplacementRestoresIdentityAcrossSizes) {
+  // One thread's retained array serves every size: a small draw after a
+  // large one, and a large one after that, still match the reference only
+  // if each call left the array as the identity.
+  const std::vector<SampleCase> cases = {
+      {100000, 50000}, {7, 3}, {100000, 100000}, {7, 7}, {100000, 1000}};
+  for (const uint64_t seed : {5u, 6u}) {
+    EXPECT_EQ(CountReferenceMismatches(seed, cases), 0) << seed;
+  }
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesReferenceOnTwoThreads) {
+  int mismatches[2] = {-1, -1};
+  std::thread first([&] {
+    mismatches[0] = CountReferenceMismatches(31, SampleGrid());
+  });
+  std::thread second([&] {
+    mismatches[1] = CountReferenceMismatches(37, SampleGrid());
+  });
+  first.join();
+  second.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
 }
 
 TEST(RngTest, DirichletSumsToOne) {
