@@ -41,6 +41,33 @@ void ClientExecutor::RunWave(int wave, const std::vector<int>& clients,
                              const std::vector<float>& theta,
                              std::vector<UpdateMessage>* out) {
   out->assign(clients.size(), UpdateMessage());
+  auto run_client = [&](int idx, int worker) {
+    const int client = clients[static_cast<size_t>(idx)];
+    const int shard = ShardOfClient(client, num_shards_);
+    // Per-event wall latency, keyed by the client's aggregation shard.
+    // A no-op (never reads the clock) unless metrics or a trace
+    // capture are on — the zero-perturbation contract of src/obs.
+    obs::TraceScope scope("client_event", "client",
+                          shard_event_hist_[static_cast<size_t>(shard)]);
+    scope.set_arg("client", client);
+    auto local = problem_->MakeLocalProblem(client, worker);
+    // Per-(wave, client) stream: results do not depend on thread
+    // scheduling.
+    Rng client_rng = master_.Fork(kClientTag, static_cast<uint64_t>(wave),
+                                  static_cast<uint64_t>(client));
+    (*out)[static_cast<size_t>(idx)] =
+        algorithm_->ClientUpdate(client, wave, theta, local.get(), client_rng);
+  };
+  // A one-client wave (every event-mode refill) runs on the calling thread
+  // as worker 0: the caller blocks for the whole wave anyway and, outside
+  // a wave, uses worker 0 only for Evaluate, so a handoff to the pool
+  // would buy nothing. Queued tasks (store prefetch) finish first, as they
+  // do ahead of the wave on a one-thread pool.
+  if (clients.size() == 1) {
+    pool_.Wait();
+    run_client(0, 0);
+    return;
+  }
   // Shard-major execution order: under a sharded server, clients of the
   // same shard run back-to-back, so concurrent MutableView/Release calls
   // spread across the per-shard stores' locks instead of hammering one
@@ -56,25 +83,9 @@ void ClientExecutor::RunWave(int wave, const std::vector<int>& clients,
              ShardOfClient(clients[static_cast<size_t>(b)], num_shards_);
     });
   }
-  pool_.ParallelFor(
-      static_cast<int>(clients.size()), [&](int pos, int worker) {
-        const int idx = order[static_cast<size_t>(pos)];
-        const int client = clients[static_cast<size_t>(idx)];
-        const int shard = ShardOfClient(client, num_shards_);
-        // Per-event wall latency, keyed by the client's aggregation shard.
-        // A no-op (never reads the clock) unless metrics or a trace
-        // capture are on — the zero-perturbation contract of src/obs.
-        obs::TraceScope scope("client_event", "client",
-                              shard_event_hist_[static_cast<size_t>(shard)]);
-        scope.set_arg("client", client);
-        auto local = problem_->MakeLocalProblem(client, worker);
-        // Per-(wave, client) stream: results do not depend on thread
-        // scheduling.
-        Rng client_rng = master_.Fork(kClientTag, static_cast<uint64_t>(wave),
-                                      static_cast<uint64_t>(client));
-        (*out)[static_cast<size_t>(idx)] = algorithm_->ClientUpdate(
-            client, wave, theta, local.get(), client_rng);
-      });
+  pool_.ParallelFor(static_cast<int>(clients.size()), [&](int pos, int worker) {
+    run_client(order[static_cast<size_t>(pos)], worker);
+  });
 }
 
 }  // namespace fedadmm

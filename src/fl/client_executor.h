@@ -38,7 +38,8 @@ class ClientExecutor {
 
   /// Runs `algorithm->ClientUpdate` for every client in `clients` against
   /// `theta`, writing results into `*out` (resized, index-parallel to
-  /// `clients`). Blocks until the wave completes.
+  /// `clients`). Blocks until the wave completes. A one-client wave runs on
+  /// the calling thread as worker 0, after the pool's queued tasks finish.
   void RunWave(int wave, const std::vector<int>& clients,
                const std::vector<float>& theta,
                std::vector<UpdateMessage>* out);
