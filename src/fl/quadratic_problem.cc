@@ -132,9 +132,13 @@ QuadraticProblem::QuadraticProblem(const QuadraticSpec& spec) : spec_(spec) {
     for (int r = 0; r < n; ++r) {
       a[static_cast<size_t>(r * n + r)] += spec.min_curvature;
     }
-    // b_i = A_i x_i* with x_i* dispersed by `heterogeneity`.
+    // b_i = A_i x_i* with x_i* dispersed by `heterogeneity`. At zero
+    // heterogeneity x_i* stays +0.0, what N(0, 0) drew, without building
+    // that invalid distribution; nothing draws from `rng` after this.
     std::vector<double> local_opt(static_cast<size_t>(n));
-    for (auto& v : local_opt) v = rng.Normal(0.0, spec.heterogeneity);
+    if (spec.heterogeneity != 0.0) {
+      for (auto& v : local_opt) v = rng.Normal(0.0, spec.heterogeneity);
+    }
     auto& b = b_[static_cast<size_t>(i)];
     b.assign(static_cast<size_t>(n), 0.0);
     for (int r = 0; r < n; ++r) {

@@ -248,7 +248,9 @@ void GemmAxpyRow(const float* a, const float* b, float* c, int64_t kb,
 void QuantizeUniform(const float* v, size_t n, float scale, int levels,
                      uint16_t* codes) {
   if (!(scale > 0.0f)) {
-    std::memset(codes, 0, n * sizeof(uint16_t));
+    // Empty inputs may come with null pointers, which memset/memcpy must
+    // not receive even for zero bytes; the same holds below.
+    if (n != 0) std::memset(codes, 0, n * sizeof(uint16_t));
     return;
   }
   const double s = static_cast<double>(scale);
@@ -286,7 +288,7 @@ void QuantizeUniform(const float* v, size_t n, float scale, int levels,
 void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
                     float* out) {
   if (scale == 0.0f) {
-    std::memset(out, 0, n * sizeof(float));
+    if (n != 0) std::memset(out, 0, n * sizeof(float));
     return;
   }
   const double s = static_cast<double>(scale);
@@ -311,7 +313,7 @@ void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
 
 void PackCodes(const uint16_t* codes, size_t n, int bits, uint8_t* out) {
   if (bits == 16) {
-    std::memcpy(out, codes, n * sizeof(uint16_t));
+    if (n != 0) std::memcpy(out, codes, n * sizeof(uint16_t));
     return;
   }
   if (bits == 8) {
@@ -335,7 +337,7 @@ void PackCodes(const uint16_t* codes, size_t n, int bits, uint8_t* out) {
 
 void UnpackCodes(const uint8_t* bytes, size_t n, int bits, uint16_t* codes) {
   if (bits == 16) {
-    std::memcpy(codes, bytes, n * sizeof(uint16_t));
+    if (n != 0) std::memcpy(codes, bytes, n * sizeof(uint16_t));
     return;
   }
   if (bits == 8) {

@@ -102,7 +102,9 @@ void QuantizeUniform(const float* v, size_t n, float scale, int levels,
                      uint16_t* codes) {
   if (!(scale > 0.0f)) {
     // Every grid position is the origin: floor(0 + 0.5) == 0.
-    std::memset(codes, 0, n * sizeof(uint16_t));
+    // An empty input may come with a null pointer, which memset must not
+    // receive even for zero bytes; the same holds below.
+    if (n != 0) std::memset(codes, 0, n * sizeof(uint16_t));
     return;
   }
   const double s = static_cast<double>(scale);
@@ -121,7 +123,7 @@ void QuantizeUniform(const float* v, size_t n, float scale, int levels,
 void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
                     float* out) {
   if (scale == 0.0f) {
-    std::memset(out, 0, n * sizeof(float));
+    if (n != 0) std::memset(out, 0, n * sizeof(float));
     return;
   }
   const double s = static_cast<double>(scale);

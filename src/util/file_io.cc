@@ -112,6 +112,8 @@ Status ByteReader::Bytes(void* out, size_t len) {
   if (remaining() < len) {
     return Status::IoError("ByteReader: buffer exhausted");
   }
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (len == 0) return Status::OK();
   std::memcpy(out, data_.data() + pos_, len);
   pos_ += len;
   return Status::OK();

@@ -170,6 +170,7 @@ TEST(ByteCodecTest, WriterReaderRoundTrip) {
   writer.F64(3.5);
   writer.String("fedadmm");
   writer.Floats(std::vector<float>{1.0f, -2.0f, 0.25f});
+  writer.Floats(std::vector<float>{});
   const std::string blob = writer.Take();
 
   ByteReader reader(blob);
@@ -180,6 +181,7 @@ TEST(ByteCodecTest, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.String().ValueOrDie(), "fedadmm");
   EXPECT_EQ(reader.Floats().ValueOrDie(),
             (std::vector<float>{1.0f, -2.0f, 0.25f}));
+  EXPECT_EQ(reader.Floats().ValueOrDie(), std::vector<float>{});
   EXPECT_TRUE(reader.empty());
   // Exhausted buffer: further reads are IoError, not garbage.
   EXPECT_FALSE(reader.U8().ok());

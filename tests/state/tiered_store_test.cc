@@ -256,7 +256,7 @@ TEST_P(TieredBadSpecTest, ErrorQuotesSpecAndGrammar) {
   const BadSpecCase& param = GetParam();
   const auto result = MakeClientStateStore(param.spec);
   ASSERT_FALSE(result.ok()) << param.spec;
-  const std::string& message = result.status().message();
+  const std::string message = result.status().message();
   // Satellite contract: every InvalidArgument names the offending spec and
   // restates the accepted grammar.
   EXPECT_NE(message.find(param.spec), std::string::npos) << message;
