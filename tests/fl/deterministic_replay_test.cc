@@ -7,8 +7,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +14,7 @@
 #include "comm/identity.h"
 #include "core/fedadmm.h"
 #include "fl/algorithms/scaffold.h"
+#include "fl/digest.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -189,27 +188,6 @@ TEST(DeterministicReplayTest, LossyCodecChangesThetaButNotAccounting) {
 // the cross-ISA contract (FEDADMM_FORCE_SCALAR=1) must give the same
 // digests.
 
-// FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void Bytes(const void* data, size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
-    }
-  }
-  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
-  // NaN sentinels hash as one canonical pattern.
-  void Double(double v) {
-    if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-    Bytes(&v, sizeof(v));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 // θ's bits plus every deterministic RoundRecord field (wall_seconds is
 // the only host-dependent one).
 uint64_t TrajectoryDigest(const std::vector<float>& theta,
@@ -234,13 +212,6 @@ uint64_t TrajectoryDigest(const std::vector<float>& theta,
     h.Int(r.state_bytes_resident);
   }
   return h.value();
-}
-
-std::string Hex(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // Deadlines (seconds) inside the cellular fleet's per-client spread at
