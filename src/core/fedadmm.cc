@@ -154,7 +154,7 @@ std::vector<float> FedAdmm::MeanAugmentedModel(int round) const {
   std::vector<float> mean(ws[0].size());
   vec::BlockedMean(ws, mean, reduce_pool_);
   vec::AxpyMany(inv_rho / static_cast<float>(m), ys, mean, reduce_pool_);
-  // Drop any hot decode cache the views pulled in (quantized backend).
+  // Unpin the views (tiered pins a frame per View).
   for (int i = 0; i < m; ++i) store_->Release(i);
   return mean;
 }

@@ -74,9 +74,9 @@ struct FedAdmmOptions {
   bool freeze_duals = false;
 
   /// Backend for the per-client (w_i, y_i) pairs (src/state):
-  /// "dense" | "lazy" | "quantized:<b>". Overridden by
+  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>". Overridden by
   /// `SimulationConfig::state_store` when that is non-empty.
-  std::string state_store = "dense";
+  std::string state_store = "lazy";
 };
 
 /// \brief The FedADMM algorithm.

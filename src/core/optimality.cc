@@ -34,7 +34,7 @@ OptimalityGap ComputeOptimalityGap(FederatedProblem* problem,
     }
     gap.grad_w_sq += grad_w_sq;
     gap.consensus_sq += consensus_sq;
-    // Drop any hot decode cache the views pulled in (quantized backend).
+    // Unpin the views (tiered pins a frame per View).
     algorithm.state_store().Release(i);
   }
   for (double v : grad_theta) gap.grad_theta_sq += v * v;

@@ -23,8 +23,8 @@ struct AlgorithmContext {
   int num_clients = 0;
   int64_t dim = 0;
   /// Client-state backend spec for stateful algorithms (src/state —
-  /// "dense" | "lazy" | "quantized:<b>"). Empty keeps the algorithm's own
-  /// default. Stateless algorithms ignore it.
+  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>"). Empty keeps the
+  /// algorithm's own default. Stateless algorithms ignore it.
   std::string state_store;
   /// Optional worker pool for blocked server-side reductions
   /// (tensor/vec AxpyMany / BlockedMean). Borrowed; may be nullptr

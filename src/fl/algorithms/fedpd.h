@@ -61,7 +61,7 @@ class FedPd : public FederatedAlgorithm {
   int64_t StateBytesResident() const override;
 
   /// Fallback when `SimulationConfig::state_store` is empty.
-  std::string DefaultStateStoreSpec() const override { return "dense"; }
+  std::string DefaultStateStoreSpec() const override { return "lazy"; }
 
   /// Number of aggregation (communication) rounds so far.
   int communication_rounds() const { return comm_rounds_; }

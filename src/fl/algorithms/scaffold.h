@@ -51,7 +51,7 @@ class Scaffold : public FederatedAlgorithm {
   int64_t StateBytesResident() const override;
 
   /// Fallback when `SimulationConfig::state_store` is empty.
-  std::string DefaultStateStoreSpec() const override { return "dense"; }
+  std::string DefaultStateStoreSpec() const override { return "lazy"; }
 
   /// Server control variate (tests).
   const std::vector<float>& server_control() const { return server_c_; }

@@ -83,12 +83,12 @@ struct SimulationConfig {
   /// (fl/staleness.h); null means constant 1 (no discount).
   StalenessWeightFn staleness_weight;
   /// Client-state backend for stateful algorithms (src/state):
-  /// "dense" | "lazy" | "quantized:<b>" | "sharded:<W>:<inner>". Empty
-  /// keeps each algorithm's own default (dense). `lazy` and `quantized`
-  /// keep resident state proportional to the *touched* client population —
-  /// the lever that makes 100k-client fleets affordable under 1%
-  /// participation; see `RoundRecord::state_bytes_resident` and
-  /// bench_state_scale.
+  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>". Empty keeps each
+  /// algorithm's own default (lazy). `lazy` keeps resident state
+  /// proportional to the *touched* client population — the lever that
+  /// makes 100k-client fleets affordable under 1% participation — and
+  /// `tiered` caps it at a pool size; see
+  /// `RoundRecord::state_bytes_resident` and bench_state_scale.
   std::string state_store;
   /// Aggregation-server worker count W (>= 1). Each worker owns the
   /// client-id partition `client % W` (util/shard.h): its slice of the

@@ -84,8 +84,8 @@ struct RoundRecord {
   int staleness_max = 0;
   /// Bytes of server-visible per-client algorithm state resident at the
   /// end of this round (src/state ClientStateStore accounting; 0 for
-  /// stateless methods). `dense` backends sit at m·d prices from round 0;
-  /// `lazy`/`quantized` track the touched population.
+  /// stateless methods). `lazy` tracks the touched population; `tiered`
+  /// reports its resident pool frames.
   int64_t state_bytes_resident = 0;
 };
 

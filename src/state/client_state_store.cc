@@ -1,25 +1,27 @@
 #include "state/client_state_store.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <system_error>
 
-#include "state/dense_store.h"
 #include "state/lazy_store.h"
-#include "state/quantized_store.h"
 #include "state/sharded_store.h"
 #include "state/tiered_store.h"
 
 namespace fedadmm {
 namespace {
 
-constexpr char kQuantizedPrefix[] = "quantized:";
 constexpr char kShardedPrefix[] = "sharded:";
 constexpr char kTieredPrefix[] = "tiered:";
 
 // The one grammar string every factory error quotes, so a bad spec always
 // tells the caller both what it said and what would have parsed.
 constexpr char kSpecGrammar[] =
-    "dense | lazy | quantized:<bits 1..16|32> | "
-    "tiered:<capacity_mb|<n>f>:<path>[:dense] | sharded:<W>:<inner>";
+    "lazy | tiered:<capacity_mb|<n>f>:<path> | sharded:<W>:<inner>";
+
+// Largest MiB count whose byte size still fits int64.
+constexpr int64_t kMaxCapacityMiB = std::numeric_limits<int64_t>::max() >> 20;
 
 Status SpecError(const std::string& spec, const std::string& why) {
   return Status::InvalidArgument("MakeClientStateStore: " + why +
@@ -27,24 +29,33 @@ Status SpecError(const std::string& spec, const std::string& why) {
                                  "' (accepted: " + kSpecGrammar + ")");
 }
 
+// Parses all of `token` as a decimal integer in [1, max]. Out-of-range
+// values fail instead of wrapping.
+template <typename Int>
+bool ParseCount(const std::string& token, Int max, Int* out) {
+  Int n = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1 || n > max) return false;
+  *out = n;
+  return true;
+}
+
 // Parses the tiered capacity token: "<n>" = n MiB of pool, "<n>f" = exactly
 // n frames (the test hook — MiB granularity is useless at toy dims).
 bool ParseCapacityToken(const std::string& token, TieredStoreOptions* out) {
-  std::string digits = token;
-  bool frames = false;
-  if (!digits.empty() && digits.back() == 'f') {
-    frames = true;
-    digits.pop_back();
-  }
-  char* end = nullptr;
-  const long long n = std::strtoll(digits.c_str(), &end, 10);
-  if (digits.empty() || end == nullptr || *end != '\0' || n < 1) return false;
-  out->capacity_token = token;
-  if (frames) {
-    out->capacity_frames = static_cast<int64_t>(n);
+  if (!token.empty() && token.back() == 'f') {
+    if (!ParseCount(token.substr(0, token.size() - 1),
+                    std::numeric_limits<int64_t>::max(),
+                    &out->capacity_frames)) {
+      return false;
+    }
   } else {
-    out->capacity_bytes = static_cast<int64_t>(n) * (int64_t{1} << 20);
+    int64_t mib = 0;
+    if (!ParseCount(token, kMaxCapacityMiB, &mib)) return false;
+    out->capacity_bytes = mib << 20;
   }
+  out->capacity_token = token;
   return true;
 }
 
@@ -58,28 +69,24 @@ Result<std::unique_ptr<ClientStateStore>> MakeTieredStore(
   TieredStoreOptions options;
   if (!ParseCapacityToken(arg.substr(0, colon), &options)) {
     return SpecError(spec, "bad tiered capacity '" + arg.substr(0, colon) +
-                               "' (want MiB >= 1, or '<n>f' frames)");
+                               "' (want MiB in 1.." +
+                               std::to_string(kMaxCapacityMiB) +
+                               ", or '<n>f' frames)");
   }
-  std::string rest = arg.substr(colon + 1);
-  // Only the raw-fp32 inner exists: slabs must round-trip bitwise through
-  // the log, which a codec inner cannot promise. The ":dense" suffix is
-  // accepted and normalized away (short form is canonical in name()).
-  constexpr char kDenseSuffix[] = ":dense";
-  const size_t suffix_len = sizeof(kDenseSuffix) - 1;
-  if (rest.size() > suffix_len &&
-      rest.compare(rest.size() - suffix_len, suffix_len, kDenseSuffix) == 0) {
-    rest.resize(rest.size() - suffix_len);
-  } else {
-    const size_t tail_colon = rest.rfind(':');
-    const std::string tail =
-        tail_colon == std::string::npos ? "" : rest.substr(tail_colon + 1);
-    if (tail == "lazy" || rest.find(":quantized:") != std::string::npos ||
-        rest.find(":tiered:") != std::string::npos ||
-        rest.find(":sharded:") != std::string::npos) {
-      return SpecError(spec,
-                       "tiered inner must be dense (slabs are raw fp32; "
-                       "codec inners cannot replay bitwise)");
-    }
+  const std::string rest = arg.substr(colon + 1);
+  // Slabs are raw fp32 so they round-trip bitwise through the log; the
+  // store takes no inner spec. A trailing spec word would otherwise become
+  // part of the file name, so refuse it.
+  const size_t tail_colon = rest.rfind(':');
+  const std::string tail =
+      tail_colon == std::string::npos ? "" : rest.substr(tail_colon + 1);
+  if (tail == "dense" || tail == "lazy" ||
+      rest.find(":quantized:") != std::string::npos ||
+      rest.find(":tiered:") != std::string::npos ||
+      rest.find(":sharded:") != std::string::npos) {
+    return SpecError(spec,
+                     "tiered takes no inner spec (slabs are raw fp32 so "
+                     "they replay bitwise)");
   }
   if (rest.empty()) {
     return SpecError(spec, "tiered needs a non-empty slab-log path");
@@ -92,19 +99,7 @@ Result<std::unique_ptr<ClientStateStore>> MakeTieredStore(
 
 Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     const std::string& spec) {
-  if (spec == "dense") return {std::make_unique<DenseStateStore>()};
   if (spec == "lazy") return {std::make_unique<LazyStateStore>()};
-  if (spec.rfind(kQuantizedPrefix, 0) == 0) {
-    const std::string arg = spec.substr(sizeof(kQuantizedPrefix) - 1);
-    char* end = nullptr;
-    const long bits = std::strtol(arg.c_str(), &end, 10);
-    if (arg.empty() || end == nullptr || *end != '\0' ||
-        !((bits >= 1 && bits <= 16) || bits == 32)) {
-      return SpecError(spec, "bad quantized bits '" + arg +
-                                 "' (want 1..16 or 32)");
-    }
-    return {std::make_unique<QuantizedStateStore>(static_cast<int>(bits))};
-  }
   if (spec.rfind(kTieredPrefix, 0) == 0) return MakeTieredStore(spec);
   if (spec.rfind(kShardedPrefix, 0) == 0) {
     const std::string arg = spec.substr(sizeof(kShardedPrefix) - 1);
@@ -114,10 +109,12 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     }
     const std::string count = arg.substr(0, colon);
     const std::string inner = arg.substr(colon + 1);
-    char* end = nullptr;
-    const long shards = std::strtol(count.c_str(), &end, 10);
-    if (count.empty() || end == nullptr || *end != '\0' || shards < 1) {
-      return SpecError(spec, "bad shard count '" + count + "' (want >= 1)");
+    int shards = 0;
+    if (!ParseCount(count, std::numeric_limits<int>::max(), &shards)) {
+      return SpecError(spec, "bad shard count '" + count + "' (want 1.." +
+                                 std::to_string(
+                                     std::numeric_limits<int>::max()) +
+                                 ")");
     }
     if (inner.rfind(kShardedPrefix, 0) == 0) {
       return SpecError(spec, "sharded specs do not nest");
@@ -128,8 +125,7 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<ClientStateStore> probe,
                              MakeClientStateStore(inner));
     if (shards == 1) return {std::move(probe)};
-    return {std::make_unique<ShardedStateStore>(static_cast<int>(shards),
-                                                inner)};
+    return {std::make_unique<ShardedStateStore>(shards, inner)};
   }
   return SpecError(spec, "unknown spec");
 }
@@ -148,14 +144,6 @@ Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
                            MakeClientStateStore(spec));
   store->Configure(num_clients, std::move(slots));
   return {std::move(store)};
-}
-
-const std::vector<std::string>& ClientStateStoreExampleSpecs() {
-  static const std::vector<std::string>* const kSpecs =
-      new std::vector<std::string>(
-          {"dense", "lazy", "quantized:8", "quantized:32",
-           "tiered:64:/tmp/fedadmm_state.slab", "sharded:4:lazy"});
-  return *kSpecs;
 }
 
 }  // namespace fedadmm

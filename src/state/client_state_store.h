@@ -10,18 +10,16 @@
 /// layout so algorithms address state by (client, slot) while the backend
 /// decides what is actually resident:
 ///
-///   * `dense`          — one eager arena per slot; bitwise identical to
-///                        the historical hand-rolled vector-of-vectors,
-///                        O(m·d) bytes from Configure.
 ///   * `lazy`           — chunked slabs materialized on first *mutable*
 ///                        touch; untouched clients cost 0 bytes and read
-///                        the slot's shared initial value. The common case
-///                        under partial participation and churn: resident
-///                        bytes track the touched population, not m.
-///   * `quantized:<b>`  — cold state is stored through the src/comm
-///                        quantizers at b bits (b in 1..16, or 32 = raw
-///                        fp32, lossless) and decoded on touch; hot
-///                        (in-flight) clients hold fp32 until `Release`.
+///                        the slot's shared initial value. Resident bytes
+///                        track the touched population, not m.
+///   * `tiered:<c>:<p>` — out-of-core: cold slabs spill to a slab log
+///                        behind a fixed-capacity buffer pool, so resident
+///                        bytes are a knob (state/tiered_store.h).
+///
+/// Both hold raw fp32, so they read and write the same values bitwise.
+/// `sharded:<W>:<inner>` partitions either across W workers.
 ///
 /// A *slot* is one R^dim state vector per client (FedADMM registers two:
 /// model and dual). Slots are registered once via `Configure` with a shared
@@ -33,7 +31,8 @@
 /// client ids; calls for the same client are serial. `Configure`,
 /// `ForEachTouched` and the metrics are server-side and must not overlap
 /// client calls. Spans stay valid until the next `Configure`, except that
-/// `quantized` spans die at that client's `Release`.
+/// `tiered` spans die at that client's `Release` (its views pin pool
+/// frames until then).
 
 #ifndef FEDADMM_STATE_CLIENT_STATE_STORE_H_
 #define FEDADMM_STATE_CLIENT_STATE_STORE_H_
@@ -69,7 +68,7 @@ class ClientStateStore {
  public:
   virtual ~ClientStateStore() = default;
 
-  /// Canonical spec string ("dense", "lazy", "quantized:8", ...) —
+  /// Canonical spec string ("lazy", "tiered:64:<path>", ...) —
   /// round-trips through `MakeClientStateStore`.
   virtual std::string name() const = 0;
 
@@ -78,9 +77,8 @@ class ClientStateStore {
   virtual void Configure(int num_clients, std::vector<StateSlotSpec> slots) = 0;
 
   /// Read-only view of `(client_id, slot)`. Untouched clients see the
-  /// slot's initial value; lazy backends do NOT materialize on read.
-  /// (Logically const: the quantized backend may decode into an internal
-  /// cache.)
+  /// slot's initial value; no backend materializes on read. (Logically
+  /// const: the tiered backend may fault the slab into its pool.)
   virtual std::span<const float> View(int client_id, int slot) const = 0;
 
   /// Mutable view; materializes the client's slot on first touch (seeded
@@ -88,25 +86,24 @@ class ClientStateStore {
   virtual std::span<float> MutableView(int client_id, int slot) = 0;
 
   /// Declares all spans previously handed out for `client_id` dead. The
-  /// quantized backend re-encodes dirty hot state back to its cold form and
-  /// drops the fp32 copy; dense/lazy are no-ops. Safe on untouched clients.
+  /// tiered backend unpins the client's frames (dirty ones stay resident
+  /// until evicted); lazy is a no-op. Safe on untouched clients.
   virtual void Release(int client_id) const = 0;
 
   /// Visits every materialized `(client, slot)` pair in increasing
-  /// (client, slot) order — the basis for future eviction / checkpointing
-  /// passes. Untouched clients are skipped. The visited span is only
-  /// guaranteed valid for the duration of the callback (the quantized
-  /// backend decodes cold entries into a temporary).
+  /// (client, slot) order — the basis for checkpointing passes. Untouched
+  /// clients are skipped. The visited span is only guaranteed valid for
+  /// the duration of the callback (the tiered backend reads cold slabs
+  /// into a temporary).
   virtual void ForEachTouched(const TouchedStateVisitor& visitor) const = 0;
 
-  /// Bytes of client state currently resident in memory: arena bytes for
-  /// `dense`, touched-block bytes for `lazy`, cold payload + hot fp32 bytes
-  /// for `quantized`. Excludes the O(m) pointer index every sparse backend
-  /// needs (8–16 bytes/client, independent of d).
+  /// Bytes of client state currently resident in memory: touched-block
+  /// bytes for `lazy`, resident pool frames × frame bytes for `tiered`.
+  /// Excludes the O(m) index every backend needs (8–16 bytes/client,
+  /// independent of d).
   virtual int64_t bytes_resident() const = 0;
 
-  /// Number of distinct clients with at least one materialized slot
-  /// (`dense`: always m after Configure).
+  /// Number of distinct clients with at least one materialized slot.
   virtual int num_touched_clients() const = 0;
 
   /// Registered geometry (valid after Configure).
@@ -137,24 +134,18 @@ class ClientStateStore {
 };
 
 /// \brief Builds a store from a spec string:
-///   * "dense"            — eager arena, O(m·d) from Configure;
 ///   * "lazy"             — slab-chunked, materialize on first mutable
 ///                          touch;
-///   * "quantized:<b>"    — cold state through the src/comm quantizers,
-///                          b in 1..16 (uniform b-bit grid) or 32 (raw
-///                          fp32, lossless);
-///   * "tiered:<c>:<p>[:dense]"
-///                        — out-of-core: a `<c>` MiB buffer pool (or
+///   * "tiered:<c>:<p>"   — out-of-core: a `<c>` MiB buffer pool (or
 ///                          `<n>f` = exactly n frames, the test hook)
 ///                          over an append-only slab log at path `<p>`
-///                          (state/tiered_store.h). The inner is always
-///                          dense — slabs are raw fp32 so replay is
-///                          bitwise; codec inners are rejected.
+///                          (state/tiered_store.h);
 ///   * "sharded:<W>:<s>"  — client-id partition over W copies of the
 ///                          unsharded spec `<s>` (state/sharded_store.h);
 ///                          W = 1 normalizes to `<s>` itself.
-/// Returns InvalidArgument for anything else; every error quotes the
-/// offending spec and this grammar.
+/// Returns InvalidArgument for anything else, including counts that
+/// overflow their type; every error quotes the offending spec and this
+/// grammar.
 Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     const std::string& spec);
 
@@ -169,9 +160,6 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
 Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
     const std::string& override_spec, const std::string& fallback_spec,
     int num_clients, std::vector<StateSlotSpec> slots, int num_shards = 1);
-
-/// Example specs for help strings and sweeps.
-const std::vector<std::string>& ClientStateStoreExampleSpecs();
 
 }  // namespace fedadmm
 

@@ -16,8 +16,8 @@ namespace fedadmm {
 /// canonical client partition (util/shard.h).
 ///
 /// Spec: `"sharded:<W>:<inner>"` with W >= 2 and `<inner>` any unsharded
-/// backend spec (`dense` | `lazy` | `quantized:<b>`); `sharded:1:<inner>`
-/// is normalized to `<inner>` by the factory. Client `c` lives in shard
+/// backend spec (`lazy` | `tiered:<c>:<p>`); `sharded:1:<inner>` is
+/// normalized to `<inner>` by the factory. Client `c` lives in shard
 /// `c % W` at local index `c / W`, so each worker owns an (almost) equal,
 /// churn-stable slice of the fleet and per-client calls for distinct
 /// clients on the same shard stay as parallel as the inner backend allows

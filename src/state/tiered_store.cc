@@ -36,7 +36,7 @@ TieredStateStore::~TieredStateStore() {
 }
 
 std::string TieredStateStore::name() const {
-  // Short form is canonical; the parser also accepts a ":dense" suffix.
+  // Round-trips through MakeClientStateStore.
   return "tiered:" + options_.capacity_token + ":" + options_.path;
 }
 

@@ -2,7 +2,7 @@
 /// \brief Out-of-core ClientStateStore: buffer pool over an append-only
 /// slab log.
 ///
-/// The fourth backend (`tiered:<capacity>:<path>[:dense]`): cold client
+/// The out-of-core backend (`tiered:<capacity>:<path>`): cold client
 /// slabs live in a per-store slab-log file (state/slab_log.h), hot ones in
 /// a fixed-capacity `BufferPool` (state/buffer_pool.h), and an in-memory
 /// directory maps (client, slot) → log offset. Resident bytes become a
@@ -11,8 +11,9 @@
 /// fleet whose touched state dwarfs RAM keep training.
 ///
 ///   * `View`/`MutableView` pin the slab's frame until `Release` (spans
-///     die at Release, like the quantized backend). Untouched slots read
-///     the shared init value without touching the pool.
+///     die at Release — the one exception to the store's span contract).
+///     Untouched slots read the shared init value without touching the
+///     pool.
 ///   * A miss on a logged slab faults it back with one positional read; a
 ///     dirty eviction appends the slab and repoints the directory — the
 ///     log is append-only scratch, reclaimed when the store dies.
@@ -29,7 +30,7 @@
 /// workers own W independent log segments, and its pool metrics carry the
 /// `{shard=s}` label.
 ///
-/// Values are bitwise: slabs are raw fp32, so `tiered:` replays `dense`
+/// Values are bitwise: slabs are raw fp32, so `tiered:` replays `lazy`
 /// exactly at any pool size and thread count (log *layout* varies with
 /// eviction order; contents do not).
 ///

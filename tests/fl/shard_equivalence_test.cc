@@ -176,9 +176,9 @@ TEST(ShardEquivalenceTest, ShardedStoreAloneIsBitwiseTransparent) {
   // the floats the inner backend returns: the whole run is bitwise
   // identical to the plain store.
   const ShardRun plain = RunSharded(1, 3, 12, ExecutionMode::kSync, nullptr,
-                                    /*store=*/"dense");
+                                    /*store=*/"lazy");
   const ShardRun sharded_store = RunSharded(
-      1, 3, 12, ExecutionMode::kSync, nullptr, "sharded:3:dense");
+      1, 3, 12, ExecutionMode::kSync, nullptr, "sharded:3:lazy");
   ExpectIdenticalRuns(plain, sharded_store);
 }
 

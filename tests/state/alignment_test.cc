@@ -1,14 +1,13 @@
 /// \file alignment_test.cc
-/// \brief 64-byte alignment of the hot-path buffers: dense-store arenas,
-/// lazy-store slabs, and Tensor storage — without any stride padding
-/// (layout and bytes_resident accounting must not move).
+/// \brief 64-byte alignment of the hot-path buffers: lazy-store slabs and
+/// Tensor storage — without any stride padding (layout and bytes_resident
+/// accounting must not move).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "state/client_state_store.h"
-#include "state/dense_store.h"
 #include "state/lazy_store.h"
 #include "tensor/tensor.h"
 #include "util/aligned.h"
@@ -30,22 +29,6 @@ TEST(AlignmentTest, AlignedVectorBaseIsCachelineAligned) {
     AlignedVector<float> moved = std::move(v);
     EXPECT_TRUE(IsAligned(moved.data()));
   }
-}
-
-TEST(AlignmentTest, DenseStoreArenaAlignedWithoutStridePadding) {
-  DenseStateStore store;
-  const int64_t dim = 16;  // multiple of 16 floats: every row stays aligned
-  store.Configure(/*num_clients=*/5, TwoSlots(dim));
-  for (int s = 0; s < store.num_slots(); ++s) {
-    EXPECT_TRUE(IsAligned(store.View(0, s).data()));
-    // No padding: client c's row starts exactly c*dim floats in.
-    for (int c = 1; c < store.num_clients(); ++c) {
-      EXPECT_EQ(store.View(c, s).data(), store.View(0, s).data() + c * dim);
-    }
-  }
-  // bytes_resident counts exactly clients * dim * slots * 4: padding-free.
-  EXPECT_EQ(store.bytes_resident(),
-            5 * dim * static_cast<int64_t>(sizeof(float)) * 2);
 }
 
 TEST(AlignmentTest, LazyStoreSlabsAligned) {

@@ -1,21 +1,18 @@
 // The client-state store (src/state): factory specs, backend semantics
-// (init-value views, materialize-on-touch, hot/cold quantized lifecycle),
-// the bytes_resident cost model, and the distinct-client concurrency
-// contract.
+// (init-value views, materialize-on-touch, touched-state visits), the
+// bytes_resident cost model, and the distinct-client concurrency contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <set>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "comm/quantize.h"
 #include "state/client_state_store.h"
 #include "state/lazy_store.h"
-#include "state/quantized_store.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fedadmm {
@@ -41,28 +38,42 @@ std::vector<float> Ramp(float base) {
 }
 
 TEST(StateStoreFactoryTest, ParsesKnownSpecsAndRoundTripsNames) {
-  for (const std::string& spec : ClientStateStoreExampleSpecs()) {
+  const std::string slab = ::testing::TempDir() + "factory_names.slab";
+  for (const std::string& spec :
+       {std::string("lazy"), "tiered:64:" + slab, "tiered:8f:" + slab,
+        std::string("sharded:4:lazy"), "sharded:2:tiered:3f:" + slab,
+        // The largest counts that fit their types.
+        "tiered:8796093022207:" + slab,
+        std::string("sharded:2147483647:lazy")}) {
     auto store = MakeClientStateStore(spec);
-    ASSERT_TRUE(store.ok()) << spec;
+    ASSERT_TRUE(store.ok()) << spec << ": " << store.status().ToString();
     EXPECT_EQ(store.ValueOrDie()->name(), spec);
   }
-  EXPECT_EQ(MakeClientStateStore("quantized:16").ValueOrDie()->name(),
-            "quantized:16");
 }
 
 TEST(StateStoreFactoryTest, RejectsUnknownSpecs) {
-  for (const std::string& bad :
+  for (const char* bad :
        {"", "sparse", "quantized", "quantized:", "quantized:0",
         "quantized:17", "quantized:33", "quantized:8x", "dense "}) {
     EXPECT_FALSE(MakeClientStateStore(bad).ok()) << "'" << bad << "'";
   }
 }
 
+// Sweep parameters name a backend; "tiered" gets a slab log under the test
+// temp dir and a 4-frame pool, so most views fault through the log.
+std::unique_ptr<ClientStateStore> MakeSweepStore(const std::string& backend) {
+  const std::string spec =
+      backend == "tiered"
+          ? "tiered:4f:" + ::testing::TempDir() + "state_store_sweep.slab"
+          : backend;
+  return MakeClientStateStore(spec).ValueOrDie();
+}
+
 class StateStoreBackendSweep
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StateStoreBackendSweep, UntouchedClientsReadSlotInitialValues) {
-  auto store = MakeClientStateStore(GetParam()).ValueOrDie();
+  auto store = MakeSweepStore(GetParam());
   const std::vector<float> init = Ramp(1.0f);
   store->Configure(kClients, TwoSlots(init));
   for (int c = 0; c < kClients; ++c) {
@@ -75,12 +86,7 @@ TEST_P(StateStoreBackendSweep, UntouchedClientsReadSlotInitialValues) {
 }
 
 TEST_P(StateStoreBackendSweep, MutationsPersistAcrossReleaseLossless) {
-  // quantized:32 is the identity codec, so this sweep includes it; lossy
-  // bit widths are covered separately with error bounds.
-  if (GetParam().rfind("quantized:", 0) == 0 && GetParam() != "quantized:32") {
-    GTEST_SKIP();
-  }
-  auto store = MakeClientStateStore(GetParam()).ValueOrDie();
+  auto store = MakeSweepStore(GetParam());
   store->Configure(kClients, TwoSlots(Ramp(-2.0f)));
   const std::vector<float> wrote = Ramp(7.5f);
   for (int c : {3, 11}) {
@@ -96,34 +102,46 @@ TEST_P(StateStoreBackendSweep, MutationsPersistAcrossReleaseLossless) {
   }
   // Neighbours stay at the slot initialization.
   for (float v : store->View(4, 1)) EXPECT_EQ(v, 0.0f);
+  store->Release(4);
 }
 
 TEST_P(StateStoreBackendSweep, ForEachTouchedVisitsExactlyTouchedClients) {
-  auto store = MakeClientStateStore(GetParam()).ValueOrDie();
-  store->Configure(kClients, TwoSlots(Ramp(0.0f)));
-  for (int c : {1, 6, 9}) {
-    store->MutableView(c, 0)[0] = 42.0f;
-    store->Release(c);
-  }
-  std::set<int> seen;
-  store->ForEachTouched(
-      [&](int client, int slot, std::span<const float> value) {
-        ASSERT_EQ(value.size(), static_cast<size_t>(kDim));
-        if (slot == 0 && value[0] == 42.0f) seen.insert(client);
-      });
-  if (GetParam() == "dense") {
-    // Dense is always fully materialized; the touched writes must still be
-    // visible among all m visits.
-    EXPECT_EQ(seen, (std::set<int>{1, 6, 9}));
-    EXPECT_EQ(store->num_touched_clients(), kClients);
-  } else {
-    EXPECT_EQ(seen, (std::set<int>{1, 6, 9}));
-    EXPECT_EQ(store->num_touched_clients(), 3);
+  struct Input {
+    std::vector<int> clients;
+    int slots_touched;
+  };
+  std::vector<int> everyone(kClients);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  // A sparse cohort that leaves slot 1 untouched, then the whole fleet on
+  // both slots (the full-participation regime).
+  for (const Input& input : {Input{{1, 6, 9}, 1}, Input{everyone, 2}}) {
+    auto store = MakeSweepStore(GetParam());
+    store->Configure(kClients, TwoSlots(Ramp(0.0f)));
+    std::vector<std::pair<int, int>> want;
+    for (int c : input.clients) {
+      for (int s = 0; s < input.slots_touched; ++s) {
+        store->MutableView(c, s)[0] = static_cast<float>(100 * s + c);
+        want.emplace_back(c, s);
+      }
+      store->Release(c);
+    }
+    std::vector<std::pair<int, int>> visited;
+    store->ForEachTouched(
+        [&](int client, int slot, std::span<const float> value) {
+          ASSERT_EQ(value.size(), static_cast<size_t>(kDim));
+          EXPECT_EQ(value[0], static_cast<float>(100 * slot + client));
+          visited.emplace_back(client, slot);
+        });
+    // Every touched (client, slot) once, in increasing (client, slot)
+    // order.
+    EXPECT_EQ(visited, want);
+    EXPECT_EQ(store->num_touched_clients(),
+              static_cast<int>(input.clients.size()));
   }
 }
 
 TEST_P(StateStoreBackendSweep, ConcurrentDistinctClientTouchesAreSafe) {
-  auto store = MakeClientStateStore(GetParam()).ValueOrDie();
+  auto store = MakeSweepStore(GetParam());
   const int clients = 64;
   std::vector<StateSlotSpec> slots(2);
   slots[0].dim = kDim;
@@ -149,37 +167,21 @@ TEST_P(StateStoreBackendSweep, ConcurrentDistinctClientTouchesAreSafe) {
     const auto y = store->View(c, 1);
     for (size_t k = 0; k < w.size(); ++k) {
       const float expect_w = init[k] + static_cast<float>(c);
-      if (GetParam() == "quantized:8") {
-        // One quantization round-trip: error bounded by scale / levels.
-        EXPECT_NEAR(w[k], expect_w, 1.0f);
-      } else {
-        EXPECT_EQ(w[k], expect_w) << c << " " << k;
-        EXPECT_EQ(y[k], static_cast<float>(c) - expect_w);
-      }
+      EXPECT_EQ(w[k], expect_w) << c << " " << k;
+      EXPECT_EQ(y[k], static_cast<float>(c) - expect_w);
     }
     store->Release(c);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StateStoreBackendSweep,
-                         ::testing::Values("dense", "lazy", "quantized:8",
-                                           "quantized:32"),
+                         ::testing::Values("lazy", "sharded:3:lazy",
+                                           "tiered"),
                          [](const auto& info) {
                            std::string n = info.param;
                            std::replace(n.begin(), n.end(), ':', '_');
                            return n;
                          });
-
-TEST(DenseStoreTest, ResidentBytesAreMTimesDFromConfigure) {
-  auto store = MakeClientStateStore("dense").ValueOrDie();
-  store->Configure(kClients, TwoSlots(Ramp(0.0f)));
-  EXPECT_EQ(store->bytes_resident(),
-            static_cast<int64_t>(kClients) * kDim * 2 * 4);
-  // Touching changes nothing: the arena is eager.
-  store->MutableView(0, 0)[0] = 1.0f;
-  EXPECT_EQ(store->bytes_resident(),
-            static_cast<int64_t>(kClients) * kDim * 2 * 4);
-}
 
 TEST(LazyStoreTest, ResidentBytesEqualTouchedBlocks) {
   auto store = MakeClientStateStore("lazy").ValueOrDie();
@@ -218,68 +220,6 @@ TEST(LazyStoreTest, SpansStayStableAcrossLaterMaterializations) {
   for (int c = 1; c < 4096; ++c) store.MutableView(c, 0)[0] = 1.0f;
   EXPECT_EQ(first.data(), store.View(0, 0).data());
   EXPECT_EQ(store.View(0, 0)[0], 3.5f);
-}
-
-TEST(QuantizedStoreTest, HotColdLifecycleAndResidentAccounting) {
-  QuantizedStateStore store(8);
-  store.Configure(kClients, TwoSlots(Ramp(0.0f)));
-  EXPECT_EQ(store.bytes_resident(), 0);
-
-  // In-flight: hot fp32 bytes.
-  auto w = store.MutableView(7, 0);
-  EXPECT_EQ(store.bytes_resident(), kDim * 4);
-  w[3] = 9.0f;
-  // Release: dirty hot state re-encodes to the cold payload, fp32 dropped.
-  store.Release(7);
-  const int64_t cold = store.bytes_resident();
-  EXPECT_GT(cold, 0);
-  EXPECT_LT(cold, kDim * 4);  // 8-bit codes + chunk scale ≪ fp32
-  EXPECT_EQ(cold, UniformQuantCodec(8).WireBytes(kDim));
-
-  // A read decodes into the hot cache; releasing a clean client just drops
-  // the fp32 copy without re-encoding.
-  (void)store.View(7, 0);
-  EXPECT_EQ(store.bytes_resident(), cold + kDim * 4);
-  store.Release(7);
-  EXPECT_EQ(store.bytes_resident(), cold);
-}
-
-TEST(QuantizedStoreTest, LossyRoundTripStaysWithinGridBound) {
-  QuantizedStateStore store(8);
-  store.Configure(kClients, TwoSlots({}));
-  Rng rng(5);
-  std::vector<float> wrote(static_cast<size_t>(kDim));
-  for (auto& v : wrote) v = static_cast<float>(rng.Normal(0.0, 2.0));
-  const float scale =
-      *std::max_element(wrote.begin(), wrote.end(),
-                        [](float a, float b) {
-                          return std::fabs(a) < std::fabs(b);
-                        });
-  auto view = store.MutableView(0, 0);
-  std::copy(wrote.begin(), wrote.end(), view.begin());
-  store.Release(0);
-  const float bound = std::fabs(scale) / 255.0f + 1e-6f;
-  const auto back = store.View(0, 0);
-  for (size_t k = 0; k < back.size(); ++k) {
-    EXPECT_NEAR(back[k], wrote[k], bound) << k;
-  }
-  store.Release(0);
-}
-
-TEST(QuantizedStoreTest, Bits32IsLosslessIdentity) {
-  QuantizedStateStore store(32);
-  EXPECT_EQ(store.name(), "quantized:32");
-  store.Configure(kClients, TwoSlots({}));
-  Rng rng(6);
-  std::vector<float> wrote(static_cast<size_t>(kDim));
-  for (auto& v : wrote) v = static_cast<float>(rng.Normal(0.0, 3.0));
-  auto view = store.MutableView(2, 1);
-  std::copy(wrote.begin(), wrote.end(), view.begin());
-  store.Release(2);
-  const auto back = store.View(2, 1);
-  EXPECT_TRUE(
-      std::equal(back.begin(), back.end(), wrote.begin(), wrote.end()));
-  store.Release(2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "state/client_state_store.h"
@@ -24,7 +25,7 @@ std::vector<StateSlotSpec> TwoSlots(int64_t dim) {
 }
 
 TEST(ShardedStoreTest, RoutesClientsByModuloAndIsolatesWrites) {
-  ShardedStateStore store(/*num_shards=*/3, "dense");
+  ShardedStateStore store(/*num_shards=*/3, "lazy");
   store.Configure(/*num_clients=*/10, TwoSlots(4));
   EXPECT_EQ(store.num_clients(), 10);
   EXPECT_EQ(store.num_slots(), 2);
@@ -94,7 +95,7 @@ TEST(ShardedStoreTest, ForEachTouchedVisitsGlobalClientSlotOrder) {
 }
 
 TEST(ShardedStoreTest, ConfigureClampsShardCountToFleetSize) {
-  ShardedStateStore store(/*num_shards=*/8, "dense");
+  ShardedStateStore store(/*num_shards=*/8, "lazy");
   store.Configure(/*num_clients=*/3, TwoSlots(2));
   // Declared W stays 8; Configure instantiates min(W, m) inner stores.
   EXPECT_EQ(store.num_shards(), 8);
@@ -108,11 +109,14 @@ TEST(ShardedStoreTest, ConfigureClampsShardCountToFleetSize) {
 }
 
 TEST(ShardedStoreTest, NameRoundTripsThroughFactory) {
-  ShardedStateStore store(/*num_shards=*/4, "quantized:8");
-  EXPECT_EQ(store.name(), "sharded:4:quantized:8");
+  // An inner spec with its own colons survives the round trip.
+  const std::string inner =
+      "tiered:8f:" + ::testing::TempDir() + "sharded_name.slab";
+  ShardedStateStore store(/*num_shards=*/4, inner);
+  EXPECT_EQ(store.name(), "sharded:4:" + inner);
   auto made = MakeClientStateStore(store.name());
   ASSERT_TRUE(made.ok());
-  EXPECT_EQ(made.ValueOrDie()->name(), "sharded:4:quantized:8");
+  EXPECT_EQ(made.ValueOrDie()->name(), "sharded:4:" + inner);
 }
 
 TEST(ShardedStoreTest, FactoryNormalizesWEqualsOneToInner) {
@@ -122,21 +126,24 @@ TEST(ShardedStoreTest, FactoryNormalizesWEqualsOneToInner) {
 }
 
 TEST(ShardedStoreTest, FactoryRejectsMalformedSpecs) {
-  EXPECT_TRUE(MakeClientStateStore("sharded:").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MakeClientStateStore("sharded:2").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MakeClientStateStore("sharded:0:dense").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MakeClientStateStore("sharded:-2:dense").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MakeClientStateStore("sharded:x:dense").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MakeClientStateStore("sharded:2:bogus").status().IsInvalidArgument());
-  // No nesting: one partition layer only.
-  EXPECT_TRUE(MakeClientStateStore("sharded:2:sharded:2:dense")
-                  .status()
-                  .IsInvalidArgument());
+  // Each spec is refused for the reason named beside it, not because its
+  // inner spec happens to be unknown.
+  const std::pair<const char*, const char*> cases[] = {
+      {"sharded:", "needs a worker count"},
+      {"sharded:2", "needs a worker count"},
+      {"sharded:0:lazy", "bad shard count"},
+      {"sharded:-2:lazy", "bad shard count"},
+      {"sharded:x:lazy", "bad shard count"},
+      {"sharded:2:bogus", "unknown spec"},
+      // No nesting: one partition layer only.
+      {"sharded:2:sharded:2:lazy", "do not nest"},
+  };
+  for (const auto& [spec, reason] : cases) {
+    const Status status = MakeClientStateStore(spec).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << spec;
+    EXPECT_NE(status.message().find(reason), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(ShardedStoreTest, ConfiguredFactoryWrapsWithEngineShardKnob) {
@@ -149,15 +156,15 @@ TEST(ShardedStoreTest, ConfiguredFactoryWrapsWithEngineShardKnob) {
   EXPECT_EQ(wrapped.ValueOrDie()->num_clients(), 12);
   // ...unless the spec already chose its own sharding (explicit wins)...
   auto explicit_spec = MakeConfiguredClientStateStore(
-      "sharded:2:dense", "lazy", 12, TwoSlots(4), /*num_shards=*/8);
+      "sharded:2:lazy", "lazy", 12, TwoSlots(4), /*num_shards=*/8);
   ASSERT_TRUE(explicit_spec.ok());
-  EXPECT_EQ(explicit_spec.ValueOrDie()->name(), "sharded:2:dense");
+  EXPECT_EQ(explicit_spec.ValueOrDie()->name(), "sharded:2:lazy");
   // ...and W = 1 leaves the spec untouched (bitwise-legacy path).
-  auto unsharded = MakeConfiguredClientStateStore("", "dense", 12,
+  auto unsharded = MakeConfiguredClientStateStore("", "lazy", 12,
                                                   TwoSlots(4),
                                                   /*num_shards=*/1);
   ASSERT_TRUE(unsharded.ok());
-  EXPECT_EQ(unsharded.ValueOrDie()->name(), "dense");
+  EXPECT_EQ(unsharded.ValueOrDie()->name(), "lazy");
 }
 
 TEST(ShardedStoreTest, ShardedViewsMatchUnshardedBackendBitwise) {

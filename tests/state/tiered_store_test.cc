@@ -53,9 +53,12 @@ TEST(TieredStoreTest, NameRoundTripsThroughFactory) {
   const std::string spec = "tiered:2f:" + TempPath("tiered_name.slab");
   auto store = MakeClientStateStore(spec).ValueOrDie();
   EXPECT_EQ(store->name(), spec);
-  // The explicit ":dense" suffix parses too and normalizes to short form.
-  auto suffixed = MakeClientStateStore(spec + ":dense").ValueOrDie();
-  EXPECT_EQ(suffixed->name(), spec);
+  // A trailing inner spec is refused rather than becoming part of the
+  // slab-log file name.
+  const Status suffixed = MakeClientStateStore(spec + ":dense").status();
+  EXPECT_TRUE(suffixed.IsInvalidArgument());
+  EXPECT_NE(suffixed.message().find("no inner spec"), std::string::npos)
+      << suffixed.message();
 }
 
 TEST(TieredStoreTest, UntouchedReadsSeeInitWithoutMaterializing) {
@@ -274,8 +277,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadSpecCase{"tiered:-3:/tmp/x.slab", "capacity"},
         BadSpecCase{"tiered:8q:/tmp/x.slab", "capacity"},
         BadSpecCase{"tiered:64:", "path"},
-        BadSpecCase{"tiered:64:/tmp/x.slab:lazy", "dense"},
-        BadSpecCase{"tiered:64:/tmp/x.slab:quantized:8", "dense"}));
+        BadSpecCase{"tiered:64:/tmp/x.slab:lazy", "no inner spec"},
+        BadSpecCase{"tiered:64:/tmp/x.slab:quantized:8", "no inner spec"}));
 
 }  // namespace
 }  // namespace fedadmm
