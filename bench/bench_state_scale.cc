@@ -6,14 +6,12 @@
 /// though a 1%-participation round only ever touches 1 000 of them. This
 /// bench runs FedADMM on a cross-device-churn fleet (sys preset; device
 /// availability filtered per round) at 1% participation over every
-/// configured state-store backend and reports the resident-state curve:
+/// configured state-store backend and reports the resident-state curve
+/// against the m·d·2·4-byte eager arena, computed rather than run:
 ///
-///   * `dense`          — m·d·2·4 bytes from round 0 (the baseline);
 ///   * `lazy`           — touched-clients × 2d × 4 bytes, growing with the
-///                        union of selected clients (< 5% of dense at this
-///                        participation within the round budget);
-///   * `quantized:<b>`  — cold clients at ~b/32 of fp32 prices plus the
-///                        in-flight hot set;
+///                        union of selected clients (< 5% of the arena at
+///                        this participation within the round budget);
 ///   * `tiered:auto`    — the out-of-core backend with a pool auto-sized
 ///                        from the measured schedule: large enough to hold
 ///                        next round's prefetched cohort (4 × max cohort
@@ -23,15 +21,15 @@
 ///                        explicit `tiered:<cap>:<path>` spec passes
 ///                        through untouched.
 ///
-/// `lazy`, `quantized:32`, and `tiered:*` replay bitwise identically to
-/// `dense` (the store-equivalence property), so the accuracy column
-/// doubles as a cross-backend checksum: any divergence is a bug, not
-/// noise. The tiered row additionally asserts the out-of-core contract:
-/// resident bytes equal `frames × frame_bytes` exactly, the pool stays
-/// under 10% of touched-state bytes, and — when the 10% budget covers the
-/// prefetched cohort ("covered" sizing) — the hot-path pool hit rate
-/// exceeds 90%, because the engine prefetches next round's cold slabs
-/// during aggregate/finalize and faults stay off the wave.
+/// `tiered:*` replays `lazy` bitwise (the store-equivalence property), so
+/// the accuracy column doubles as a cross-backend checksum: any divergence
+/// is a bug, not noise. The tiered row additionally asserts the
+/// out-of-core contract: resident bytes equal `frames × frame_bytes`
+/// exactly, the pool stays under 10% of touched-state bytes, and — when
+/// the 10% budget covers the prefetched cohort ("covered" sizing) — the
+/// hot-path pool hit rate exceeds 90%, because the engine prefetches next
+/// round's cold slabs during aggregate/finalize and faults stay off the
+/// wave.
 ///
 /// The local objective is a streaming mean-field quadratic
 /// f_i(w) = ½‖w − t_i‖² whose per-client target t_i is re-derived from a
@@ -50,8 +48,7 @@
 /// the prefetch tasks race the next wave, so those never gate).
 ///
 /// Knobs: FEDADMM_BENCH_CLIENTS (default 100000), FEDADMM_BENCH_STATE_DIM
-/// (default 128), FEDADMM_BENCH_STORES (default
-/// "dense,lazy,quantized:8,quantized:32,tiered:auto"),
+/// (default 128), FEDADMM_BENCH_STORES (default "lazy,tiered:auto"),
 /// FEDADMM_BENCH_ROUNDS (default 32; the touched population must dwarf
 /// the pool for the out-of-core story), FEDADMM_BENCH_SLAB (slab-log
 /// path for tiered:auto), FEDADMM_BENCH_SCALE, FEDADMM_BENCH_CSV,
@@ -103,9 +100,8 @@ int main() {
   // 32 rounds put a cohort-covering pool safely under 10% of it.
   const int rounds = RoundBudget(32, 48);
   const double participation = 0.01;
-  const std::vector<std::string> store_tokens = ParseCodecList(GetEnvString(
-      "FEDADMM_BENCH_STORES",
-      "dense,lazy,quantized:8,quantized:32,tiered:auto"));
+  const std::vector<std::string> store_tokens = ParseCodecList(
+      GetEnvString("FEDADMM_BENCH_STORES", "lazy,tiered:auto"));
   const std::string slab_path =
       GetEnvString("FEDADMM_BENCH_SLAB", "/tmp/fedadmm_bench_state.slab");
 
@@ -145,15 +141,15 @@ int main() {
   SystemModel model(FleetModel(fleet),
                     MakeStragglerPolicy("wait-for-all", -1.0).ValueOrDie());
 
-  const int64_t dense_bytes = static_cast<int64_t>(clients) * dim * 2 * 4;
-  std::printf("dense arena baseline: %s MiB (m·d·2·4)\n",
-              FormatMiB(dense_bytes).c_str());
+  const int64_t arena_bytes = static_cast<int64_t>(clients) * dim * 2 * 4;
+  std::printf("eager arena reference: %s MiB (m·d·2·4)\n",
+              FormatMiB(arena_bytes).c_str());
   std::printf("\n%-14s | %10s | %12s | %8s | %10s | %9s\n", "store",
-              "rounds", "resident MiB", "% dense", "touched", "final acc");
+              "rounds", "resident MiB", "% arena", "touched", "final acc");
   std::printf("---------------+------------+--------------+----------+--"
               "----------+----------\n");
 
-  std::vector<double> dense_acc;
+  std::vector<double> lazy_acc;
   // Schedule stats from the first completed run (the selection schedule is
   // seeded and identical across backends), used to auto-size tiered:auto.
   int64_t seen_max_cohort = 0;
@@ -206,7 +202,12 @@ int main() {
     Simulation sim(&problem, &algo, &selector, config);
     sim.set_system_model(&model);
     const auto start = Clock::now();
-    const History history = std::move(sim.Run()).ValueOrDie();
+    auto run = sim.Run();
+    if (!run.ok()) {
+      std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
+      return 1;
+    }
+    const History history = std::move(run).ValueOrDie();
     const double wall =
         std::chrono::duration<double>(Clock::now() - start).count();
     if (!csv.AppendHistory({store}, history).ok()) {
@@ -217,14 +218,12 @@ int main() {
     const int64_t resident = history.records().back().state_bytes_resident;
     const int64_t touched = algo.state_store().num_touched_clients();
     const double pct =
-        100.0 * static_cast<double>(resident) / dense_bytes;
+        100.0 * static_cast<double>(resident) / arena_bytes;
     std::printf("%-14s | %10d | %12s | %7.2f%% | %10" PRId64 " | %9.4f\n",
                 token.c_str(), history.size(),
                 FormatMiB(resident).c_str(), pct, touched,
                 history.FinalAccuracy());
 
-    // dense counts the whole fleet as touched; the union-tracking
-    // backends report the real touched population — keep the smallest.
     if (seen_touched == 0 || touched < seen_touched) seen_touched = touched;
     for (const RoundRecord& r : history.records()) {
       seen_max_cohort = std::max<int64_t>(seen_max_cohort, r.num_selected);
@@ -307,16 +306,14 @@ int main() {
     for (const RoundRecord& r : history.records()) {
       acc.push_back(r.test_accuracy);
     }
-    if (token == "dense") {
-      dense_acc = acc;
-    } else if (!dense_acc.empty() &&
-               (token == "lazy" || token == "quantized:32" ||
-                token.rfind("tiered", 0) == 0)) {
-      // Bitwise backends: the accuracy trajectory is a checksum (only
-      // checkable when a dense run preceded in FEDADMM_BENCH_STORES).
-      if (acc != dense_acc) {
+    if (token == "lazy") {
+      lazy_acc = acc;
+    } else if (!lazy_acc.empty() && token.rfind("tiered", 0) == 0) {
+      // The accuracy trajectory is a checksum (only checkable when a lazy
+      // run preceded in FEDADMM_BENCH_STORES).
+      if (acc != lazy_acc) {
         std::fprintf(stderr,
-                     "FAIL: %s trajectory diverged from dense "
+                     "FAIL: %s trajectory diverged from lazy "
                      "(store-equivalence violation)\n",
                      token.c_str());
         return 1;
@@ -334,11 +331,11 @@ int main() {
   }
   std::printf("perf rail written to %s\n", json_path.c_str());
   std::printf(
-      "\nlazy / quantized:32 / tiered trajectories verified bit-identical"
-      "\nto dense. Resident state under partial participation tracks the"
-      "\ntouched population (untouched clients read the shared (θ⁰, 0)"
-      "\nslot initializers at zero bytes) — except tiered, whose residency"
-      "\nis pinned to the buffer pool while cold slabs live in the log."
+      "\ntiered trajectories verified bit-identical to lazy. Resident state"
+      "\nunder partial participation tracks the touched population"
+      "\n(untouched clients read the shared (θ⁰, 0) slot initializers at"
+      "\nzero bytes) — except tiered, whose residency is pinned to the"
+      "\nbuffer pool while cold slabs live in the log."
       "\nCSV: %s\n",
       csv_path.c_str());
   PrintFootnote();
