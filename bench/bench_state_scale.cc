@@ -224,7 +224,7 @@ int main() {
                 FormatMiB(resident).c_str(), pct, touched,
                 history.FinalAccuracy());
 
-    if (seen_touched == 0 || touched < seen_touched) seen_touched = touched;
+    if (seen_touched == 0) seen_touched = touched;
     for (const RoundRecord& r : history.records()) {
       seen_max_cohort = std::max<int64_t>(seen_max_cohort, r.num_selected);
     }
