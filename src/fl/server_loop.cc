@@ -609,6 +609,18 @@ Result<bool> ServerLoop::TryRestore(History* history) {
   FEDADMM_ASSIGN_OR_RETURN(std::string extra, r.String());
   FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
   FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&r));
+  // Restored client ids index this run's per-client arrays, so a
+  // checkpoint written by a larger fleet is refused before any is used.
+  const int num_clients = problem_->num_clients();
+  const auto check_client = [&](int client) {
+    if (client >= 0 && client < num_clients) return Status::OK();
+    return Status::InvalidArgument(
+        "Simulation: checkpoint in '" + config_.checkpoint_path +
+        "' holds client id " + std::to_string(client) +
+        ", so it was written by a fleet of at least " +
+        std::to_string(client + 1) + " clients; this run has " +
+        std::to_string(num_clients) + " clients");
+  };
   FEDADMM_ASSIGN_OR_RETURN(now_, r.F64());
   FEDADMM_ASSIGN_OR_RETURN(sequence_, r.I64());
   FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, r.I64());
@@ -623,12 +635,14 @@ Result<bool> ServerLoop::TryRestore(History* history) {
   for (int i = 0; i < count; ++i) {
     FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent e,
                              DeserializeClientCompletionEvent(&r));
+    FEDADMM_RETURN_IF_ERROR(check_client(e.client_id));
     buffer_.push_back(std::move(e));
   }
   FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
   for (int i = 0; i < count; ++i) {
     FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent e,
                              DeserializeClientCompletionEvent(&r));
+    FEDADMM_RETURN_IF_ERROR(check_client(e.client_id));
     // Exactly the queued (not yet arrived) clients are in flight.
     in_flight_[static_cast<size_t>(e.client_id)] = 1;
     queue_.Push(std::move(e));
@@ -636,6 +650,7 @@ Result<bool> ServerLoop::TryRestore(History* history) {
   FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &count));
   for (int i = 0, client = 0; i < count; ++i) {
     FEDADMM_RETURN_IF_ERROR(ReadInt(&r, &client));
+    FEDADMM_RETURN_IF_ERROR(check_client(client));
     next_cohort_.push_back(client);
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/fedadmm.h"
+#include "fl/algorithms/fedavg.h"
 #include "fl/algorithms/fedpd.h"
 #include "fl/algorithms/scaffold.h"
 #include "fl/quadratic_problem.h"
@@ -65,6 +66,7 @@ std::unique_ptr<FederatedAlgorithm> MakeAlgo(const std::string& name) {
   if (name == "FedPD") {
     return std::make_unique<FedPd>(local, 0.5f, 0.6, /*seed=*/7);
   }
+  if (name == "FedAvg") return std::make_unique<FedAvg>(local);
   return std::make_unique<Scaffold>(local);
 }
 
@@ -423,6 +425,52 @@ TEST(CheckpointTest, ModeMismatchIsRejected) {
   EXPECT_NE(result.status().message().find("execution mode"),
             std::string::npos);
   RemoveFileIfExists(path);
+}
+
+// A kHalf-record buffered run over a `clients`-client fleet, checkpointing
+// to (or restoring from) `path`.
+Status RunBufferedFleet(FederatedAlgorithm* algo, int clients,
+                        const std::string& path, bool restore) {
+  QuadraticSpec spec = Spec();
+  spec.num_clients = clients;
+  QuadraticProblem problem(spec);
+  UniformFractionSelector selector(clients, 0.5);
+  FleetModel fleet =
+      FleetModel::FromPreset("cellular", clients, 3).ValueOrDie();
+  SystemModel model(std::move(fleet),
+                    MakeStragglerPolicy("wait-for-all", -1.0).ValueOrDie());
+  SimulationConfig config;
+  config.max_rounds = kHalf;
+  config.seed = 9;
+  config.mode = ExecutionMode::kBuffered;
+  config.buffer_size = 3;
+  config.checkpoint_path = path;
+  config.restore_from_checkpoint = restore;
+  Simulation sim(&problem, algo, &selector, config);
+  sim.set_system_model(&model);
+  return sim.Run().status();
+}
+
+TEST(CheckpointTest, CheckpointFromLargerFleetIsRejected) {
+  // The restored events' client ids index the run's per-client tables, so
+  // a checkpoint written by a fleet twice this size must be refused before
+  // any id is used. FedAvg has no client store to refuse the slabs later.
+  for (const std::string name : {"FedAvg", "FedADMM"}) {
+    SCOPED_TRACE(name);
+    const std::string path = TempPath("ckpt_fleet_" + name + ".slab");
+    RemoveFileIfExists(path);
+    auto writer = MakeAlgo(name);
+    ASSERT_TRUE(RunBufferedFleet(writer.get(), 2 * kClients, path, false).ok());
+    auto reader = MakeAlgo(name);
+    const Status status = RunBufferedFleet(reader.get(), kClients, path, true);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find(path), std::string::npos);
+    const std::string fleet_size =
+        "this run has " + std::to_string(kClients) + " clients";
+    EXPECT_NE(status.message().find(fleet_size), std::string::npos)
+        << status.message();
+    RemoveFileIfExists(path);
+  }
 }
 
 TEST(CheckpointTest, CodecRunsRejectCheckpointing) {
