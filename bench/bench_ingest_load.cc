@@ -1,6 +1,6 @@
 /// \file bench_ingest_load.cc
 /// \brief Serving-frontend ingest load: tens of thousands of concurrent
-/// wire sessions against the sharded zero-copy admission pipeline.
+/// wire sessions against the zero-copy admission pipeline.
 ///
 /// Phase A (load): a fleet of FEDADMM_BENCH_SESSIONS clients (default
 /// 12000) at 100% participation replays rounds as real sessions over the
@@ -10,7 +10,7 @@
 /// connected for the whole run, so peak concurrency equals the fleet
 /// size. The cellular fleet + deadline-drop straggler policy exercises
 /// the admission predicate (REJECTED acks are mirrored verdicts), and the
-/// bounded per-shard ingest queues exercise real backpressure (THROTTLED
+/// bounded per-worker ingest queues exercise real backpressure (THROTTLED
 /// retries are expected and counted). The phase runs TWICE and hard-fails
 /// unless θ and every deterministic ledger field (hellos, acks by status,
 /// ingested/model payload bytes, error counts) are identical — the
@@ -24,14 +24,15 @@
 /// Output: a summary table on stdout and the persisted perf rail
 /// (FEDADMM_BENCH_JSON, required — no default): deterministic
 /// `*_count`/`*_bytes` metrics gate exactly in tools/bench_diff; ingest
-/// latency percentiles (per-shard serve/ingest_seconds histograms,
+/// latency percentiles (per-worker serve/ingest_seconds histograms,
 /// admission → slot resolution) and updates/sec ride the wall-clock
 /// tolerance; throttle/retry tallies are informational (they depend on
-/// how producers race the shard workers).
+/// how producers race the ingest workers).
 ///
 /// Knobs: FEDADMM_BENCH_SESSIONS (default 12000), FEDADMM_BENCH_STATE_DIM
 /// (default 64), FEDADMM_BENCH_ROUNDS (default 3), FEDADMM_BENCH_THREADS
-/// (default 4), FEDADMM_BENCH_INGEST_SHARDS (default 2),
+/// (default 4), FEDADMM_BENCH_INGEST_SHARDS (default 2: the frontend's
+/// ingest workers; the engine itself is unsharded),
 /// FEDADMM_BENCH_QUEUE (default 512), FEDADMM_BENCH_DRIVERS (default 8),
 /// FEDADMM_BENCH_EQ_CLIENTS (default 256), FEDADMM_BENCH_DEADLINE_MS
 /// (default 230: cuts into the metered-cellular cohort so REJECTED acks
@@ -112,7 +113,6 @@ ServedRun RunServed(int clients, int64_t dim, int rounds, int threads,
   config.max_rounds = rounds;
   config.seed = seed;
   config.num_threads = threads;
-  config.num_shards = shards;
   Simulation sim(&problem, &algo, &selector, config);
   sim.set_system_model(&model);
 
@@ -141,8 +141,8 @@ ServedRun RunServed(int clients, int64_t dim, int rounds, int threads,
   lg.uplink_codec = uplink_twin.get();
   lg.downlink_codec = downlink_twin.get();
   lg.poll_timeout_seconds = 300.0;
-  LoadGenerator loadgen(&problem, &algo, seed, threads, shards, &frontend,
-                        &transport, lg);
+  LoadGenerator loadgen(&problem, &algo, seed, threads, /*num_shards=*/1,
+                        &frontend, &transport, lg);
 
   obs::MetricsRegistry::Global().ResetValues();  // scope metrics per run
   const auto start = Clock::now();
@@ -207,7 +207,7 @@ int64_t RecordMismatches(const History& a, const History& b) {
 
 /// In-process twin of RunServed's Phase B trace (no frontend).
 History RunInProcess(int clients, int64_t dim, int rounds, int threads,
-                     int shards, uint64_t seed, double deadline_seconds,
+                     uint64_t seed, double deadline_seconds,
                      std::vector<float>* theta) {
   MeanFieldProblem problem(clients, dim, /*seed=*/17);
   FedAvg algo(LoadLocalSpec());
@@ -221,7 +221,6 @@ History RunInProcess(int clients, int64_t dim, int rounds, int threads,
   config.max_rounds = rounds;
   config.seed = seed;
   config.num_threads = threads;
-  config.num_shards = shards;
   Simulation sim(&problem, &algo, &selector, config);
   sim.set_system_model(&model);
   auto uplink = MakeUpdateCodec("q8").ValueOrDie();
@@ -258,11 +257,11 @@ int main() {
 
   PrintHeader("Serving-frontend ingest load: " + std::to_string(sessions) +
               " concurrent loopback sessions, d=" + std::to_string(dim) +
-              ", " + std::to_string(rounds) + " rounds, W=" +
+              ", " + std::to_string(rounds) + " rounds, ingest workers=" +
               std::to_string(shards) + ", queue=" + std::to_string(queue) +
               ", q8 uplink+downlink, deadline-drop admission");
 
-  // Enable the registry before any Frontend exists: the per-shard ingest
+  // Enable the registry before any Frontend exists: the per-worker ingest
   // histograms are registered at construction.
   obs::MetricsRegistry::Global().set_enabled(true);
 
@@ -344,7 +343,7 @@ int main() {
   row->AddMetric("rerun_ledger_mismatch_count", ledger_mismatches);
   row->AddMetric("rerun_theta_mismatch_count", rerun_theta_mismatch);
   // Informational: concurrency peak and backpressure tallies depend on
-  // how transport threads race the shard workers.
+  // how transport threads race the ingest workers.
   row->AddMetric("peak_sessions", load.ledger.peak_sessions);
   row->AddMetric("throttled_total", load.ledger.throttled);
   row->AddMetric("throttle_retries_total", load.stats.throttle_retries);
@@ -357,8 +356,8 @@ int main() {
   using Clock = std::chrono::steady_clock;
   const auto eq_start = Clock::now();
   std::vector<float> local_theta;
-  const History local = RunInProcess(eq_clients, dim, rounds, threads,
-                                     shards, seed, deadline, &local_theta);
+  const History local = RunInProcess(eq_clients, dim, rounds, threads, seed,
+                                     deadline, &local_theta);
   const double inproc_wall =
       std::chrono::duration<double>(Clock::now() - eq_start).count();
   const ServedRun served = RunServed(eq_clients, dim, rounds, threads,

@@ -4,9 +4,9 @@
 /// Client i's target t_i ~ N(0, spread²)^d is forked from a master Rng and
 /// recomputed on demand, so the problem stores only the streamed mean
 /// target t̄ — the closed-form optimum of the global objective. The scale
-/// benches (bench_state_scale, bench_shard_scale, bench_ingest_load) share
-/// it so the subsystem under test — state store, server reduce, serving
-/// frontend — is the dominant cost, not client compute.
+/// benches (bench_state_scale, bench_ingest_load) share it so the
+/// subsystem under test — state store, server reduce, serving frontend —
+/// is the dominant cost, not client compute.
 
 #ifndef FEDADMM_BENCH_MEAN_FIELD_PROBLEM_H_
 #define FEDADMM_BENCH_MEAN_FIELD_PROBLEM_H_

@@ -9,7 +9,6 @@ void FedAdmm::Setup(const AlgorithmContext& ctx,
   num_clients_ = ctx.num_clients;
   dim_ = ctx.dim;
   reduce_pool_ = ctx.reduce_pool;
-  num_shards_ = ctx.num_shards;
   // Canonical initialization (Section VII): w_i⁰ = θ⁰, y_i⁰ = 0, which makes
   // θᵗ the exact mean of augmented models under η = |S|/m. Registered as
   // slot initial values: sparse backends never pay for untouched clients.
@@ -18,8 +17,7 @@ void FedAdmm::Setup(const AlgorithmContext& ctx,
   slots[kSlotModel].init.assign(theta0.begin(), theta0.end());
   slots[kSlotDual].dim = ctx.dim;
   auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, options_.state_store, ctx.num_clients,
-      std::move(slots), ctx.num_shards);
+      ctx.state_store, options_.state_store, ctx.num_clients, std::move(slots));
   FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
   store_ = std::move(store).ValueOrDie();
 }
@@ -96,17 +94,13 @@ void FedAdmm::ServerUpdate(const std::vector<UpdateMessage>& updates,
           ? static_cast<float>(updates.size()) /
                 static_cast<float>(num_clients_)
           : static_cast<float>(options_.eta.At(round));
-  // Tracking update (Eq. 5): θ ← θ + (η/|S_t|) Σ Δ_i, as a hierarchical
-  // per-shard reduce. At W = 1 this is the flat fused pass (bitwise
-  // identical to the per-message Axpy loop); at W > 1 each aggregation
-  // worker sums its own clients' deltas and the partials combine in shard
-  // order.
+  // Tracking update (Eq. 5): θ ← θ + (η/|S_t|) Σ Δ_i, as one fused blocked
+  // pass (bitwise identical to the per-message Axpy loop).
   const float step = eta / static_cast<float>(updates.size());
   std::vector<std::span<const float>> deltas;
   deltas.reserve(updates.size());
   for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
-  vec::AxpyManySharded(step, deltas, UpdateShards(updates), num_shards_,
-                       *theta, reduce_pool_);
+  vec::AxpyMany(step, deltas, *theta, reduce_pool_);
 }
 
 void FedAdmm::AggregateOne(UpdateMessage msg, int round, int staleness,

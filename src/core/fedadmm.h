@@ -74,8 +74,8 @@ struct FedAdmmOptions {
   bool freeze_duals = false;
 
   /// Backend for the per-client (w_i, y_i) pairs (src/state):
-  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>". Overridden by
-  /// `SimulationConfig::state_store` when that is non-empty.
+  /// "lazy" | "tiered:<c>:<p>". Overridden by `SimulationConfig::state_store`
+  /// when that is non-empty.
   std::string state_store = "lazy";
 };
 

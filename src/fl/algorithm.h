@@ -11,7 +11,6 @@
 #include "fl/problem.h"
 #include "fl/types.h"
 #include "util/rng.h"
-#include "util/shard.h"
 
 namespace fedadmm {
 
@@ -23,20 +22,14 @@ struct AlgorithmContext {
   int num_clients = 0;
   int64_t dim = 0;
   /// Client-state backend spec for stateful algorithms (src/state —
-  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>"). Empty keeps the
-  /// algorithm's own default. Stateless algorithms ignore it.
+  /// "lazy" | "tiered:<c>:<p>"). Empty keeps the algorithm's own default.
+  /// Stateless algorithms ignore it.
   std::string state_store;
   /// Optional worker pool for blocked server-side reductions
   /// (tensor/vec AxpyMany / BlockedMean). Borrowed; may be nullptr
   /// (serial). The engine lends its client-phase pool, which is idle
   /// whenever ServerUpdate / AggregateOne runs.
   ThreadPool* reduce_pool = nullptr;
-  /// Aggregation-server worker count W (SimulationConfig::num_shards).
-  /// Stateful algorithms partition their client-state store by the
-  /// canonical client shard (util/shard.h) and form ServerUpdate as a
-  /// hierarchical per-shard reduce (vec::AxpyManySharded). 1 = the
-  /// unsharded server, bitwise identical to the pre-shard engine.
-  int num_shards = 1;
 };
 
 /// \brief A federated optimization method (server + client logic).
@@ -137,26 +130,11 @@ class FederatedAlgorithm {
   }
 
  protected:
-  /// Shard ids parallel to `updates`, for vec::AxpyManySharded — the one
-  /// helper every sharded ServerUpdate shares, so the partition function
-  /// cannot drift between methods. Cheap at W = 1 (all zeros, and the
-  /// sharded kernel short-circuits anyway).
-  std::vector<int> UpdateShards(
-      const std::vector<UpdateMessage>& updates) const {
-    std::vector<int> shards(updates.size());
-    for (size_t i = 0; i < updates.size(); ++i) {
-      shards[i] = ShardOfClient(updates[i].client_id, num_shards_);
-    }
-    return shards;
-  }
-
   /// Cached from Setup for the default byte accounting.
   int num_clients_ = 0;
   int64_t dim_ = 0;
   /// Cached from Setup: pool for blocked reductions (may be nullptr).
   ThreadPool* reduce_pool_ = nullptr;
-  /// Cached from Setup: aggregation worker count (1 = unsharded).
-  int num_shards_ = 1;
 };
 
 }  // namespace fedadmm

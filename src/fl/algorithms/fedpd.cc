@@ -10,14 +10,13 @@ void FedPd::Setup(const AlgorithmContext& ctx,
   num_clients_ = ctx.num_clients;
   dim_ = ctx.dim;
   reduce_pool_ = ctx.reduce_pool;
-  num_shards_ = ctx.num_shards;
   std::vector<StateSlotSpec> slots(2);
   slots[kSlotModel].dim = ctx.dim;
   slots[kSlotModel].init.assign(theta0.begin(), theta0.end());
   slots[kSlotDual].dim = ctx.dim;
   auto store = MakeConfiguredClientStateStore(
       ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
-      std::move(slots), ctx.num_shards);
+      std::move(slots));
   FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
   store_ = std::move(store).ValueOrDie();
   comm_rounds_ = 0;
@@ -78,9 +77,8 @@ void FedPd::ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
     std::vector<std::span<const float>> deltas;
     deltas.reserve(updates.size());
     for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
-    // θ = (1/m) Σ (w_i + y_i/ρ) as per-shard partials (flat at W = 1).
-    vec::AxpyManySharded(inv_m, deltas, UpdateShards(updates), num_shards_,
-                         *theta, reduce_pool_);
+    // θ = (1/m) Σ (w_i + y_i/ρ).
+    vec::AxpyMany(inv_m, deltas, *theta, reduce_pool_);
     ++comm_rounds_;
   }
   communicate_this_round_ = coin_rng_.Bernoulli(comm_probability_);

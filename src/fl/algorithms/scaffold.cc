@@ -11,7 +11,6 @@ void Scaffold::Setup(const AlgorithmContext& ctx,
   num_clients_ = ctx.num_clients;
   dim_ = ctx.dim;
   reduce_pool_ = ctx.reduce_pool;
-  num_shards_ = ctx.num_shards;
   server_c_.assign(static_cast<size_t>(dim_), 0.0f);
   // Controls are zero-initialized as the paper recommends — the slot
   // default, so sparse backends keep untouched clients free.
@@ -19,7 +18,7 @@ void Scaffold::Setup(const AlgorithmContext& ctx,
   slots[kSlotControl].dim = ctx.dim;
   auto store = MakeConfiguredClientStateStore(
       ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
-      std::move(slots), ctx.num_shards);
+      std::move(slots));
   FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
   store_ = std::move(store).ValueOrDie();
 }
@@ -82,17 +81,12 @@ void Scaffold::ServerUpdate(const std::vector<UpdateMessage>& updates,
     deltas.push_back(msg.delta);
     control_deltas.push_back(msg.delta2);
   }
-  // Both server accumulators take the hierarchical per-shard reduce (flat
-  // and bitwise-legacy at W = 1).
-  const std::vector<int> shards = UpdateShards(updates);
   // θ += η_g * avg(Δw)
-  vec::AxpyManySharded(server_lr_ * inv_s, deltas, shards, num_shards_,
-                       *theta, reduce_pool_);
+  vec::AxpyMany(server_lr_ * inv_s, deltas, *theta, reduce_pool_);
   // c += (|S|/m) * avg(Δc)
   const float scale = static_cast<float>(updates.size()) /
                       static_cast<float>(num_clients_) * inv_s;
-  vec::AxpyManySharded(scale, control_deltas, shards, num_shards_, server_c_,
-                       reduce_pool_);
+  vec::AxpyMany(scale, control_deltas, server_c_, reduce_pool_);
 }
 
 int64_t Scaffold::StateBytesResident() const {

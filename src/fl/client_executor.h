@@ -18,7 +18,6 @@
 #include "fl/algorithm.h"
 #include "fl/problem.h"
 #include "fl/types.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -28,13 +27,9 @@ namespace fedadmm {
 class ClientExecutor {
  public:
   /// Pointers are borrowed. `num_threads <= 0` picks the hardware default;
-  /// the pool is clamped to the problem's worker-slot count. `num_shards`
-  /// (clamped to >= 1) is the aggregation-server worker count: waves run
-  /// in shard-major order so same-shard clients contend on their own
-  /// shard's state store, not across shards — scheduling only, results
-  /// are bitwise order-independent.
+  /// the pool is clamped to the problem's worker-slot count.
   ClientExecutor(FederatedProblem* problem, FederatedAlgorithm* algorithm,
-                 const Rng& master, int num_threads, int num_shards = 1);
+                 const Rng& master, int num_threads);
 
   /// Runs `algorithm->ClientUpdate` for every client in `clients` against
   /// `theta`, writing results into `*out` (resized, index-parallel to
@@ -56,11 +51,6 @@ class ClientExecutor {
   FederatedAlgorithm* algorithm_;
   Rng master_;
   ThreadPool pool_;
-  int num_shards_;
-  /// Per-shard client-event wall-latency histograms
-  /// (`client/event_seconds{shard=s}`) — cached registry handles, one per
-  /// aggregation worker, so W-shard runs expose per-worker skew.
-  std::vector<obs::Histogram*> shard_event_hist_;
 };
 
 }  // namespace fedadmm

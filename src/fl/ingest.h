@@ -24,7 +24,7 @@
 ///     connection-level admission predicate (the same per-client policy
 ///     function) merely mirrors its verdicts into ACK frames.
 ///   * Messages carry decoded payloads (the frontend decodes each upload
-///     exactly once, on the owning shard worker) with `wire_bytes` stamped
+///     exactly once, on the owning ingest worker) with `wire_bytes` stamped
 ///     to the actual frame payload size (-1 when no uplink codec ran), so
 ///     byte accounting matches `CommPipeline::PredictUplinkBytes`.
 

@@ -128,10 +128,8 @@ ServerLoop::ServerLoop(FederatedProblem* problem,
       selection_rng_(master_.Fork(kSelectionTag)),
       init_rng_(master_.Fork(kInitTag)),
       pipeline_(uplink_codec, downlink_codec, master_),
-      executor_(problem, algorithm, master_, config.num_threads,
-                config.num_shards),
-      theta_(*theta),
-      queue_(config.num_shards) {}
+      executor_(problem, algorithm, master_, config.num_threads),
+      theta_(*theta) {}
 
 ServerLoop::~ServerLoop() { algorithm_->DetachReducePool(); }
 
@@ -146,9 +144,11 @@ Result<History> ServerLoop::Run() {
   if (config_.eval_every < 1) {
     return Status::InvalidArgument("Simulation: eval_every must be >= 1");
   }
-  if (config_.num_shards < 1) {
+  if (config_.num_shards != 1) {
     return Status::InvalidArgument(
-        "Simulation: num_shards must be >= 1 (1 = unsharded server)");
+        "Simulation: num_shards must be 1 (in-process sharding was "
+        "removed); set serve::FrontendOptions::num_shards for serve-mode "
+        "ingest workers");
   }
   // Fail fast on a bad store spec: Setup can only CHECK.
   const std::string effective_store = config_.state_store.empty()
@@ -220,7 +220,6 @@ Result<History> ServerLoop::RunLoop() {
   ctx.dim = problem_->dim();
   ctx.state_store = config_.state_store;
   ctx.reduce_pool = executor_.pool();
-  ctx.num_shards = config_.num_shards;
   algorithm_->Setup(ctx, theta_);
   if (ingest_) {
     FEDADMM_RETURN_IF_ERROR(
@@ -567,10 +566,8 @@ Status ServerLoop::WriteCheckpoint(SlabLog* log, const History& history) {
     SerializeClientCompletionEvent(e, &w);
   }
   WriteInt(queue_.size(), &w);
-  for (int s = 0; s < queue_.num_shards(); ++s) {
-    for (const ClientCompletionEvent& e : queue_.shard(s).events()) {
-      SerializeClientCompletionEvent(e, &w);
-    }
+  for (const ClientCompletionEvent& e : queue_.events()) {
+    SerializeClientCompletionEvent(e, &w);
   }
   // The RNG is already past sync's pre-drawn cohort: it rides along.
   WriteInt(static_cast<int>(next_cohort_.size()), &w);

@@ -26,10 +26,8 @@
 ///
 /// Sync keeps its wave in dispatch order, so the barrier aggregates in
 /// selection order (the order `AxpyMany` sums in) and its `sim_seconds`
-/// is the latest arrival. Event modes route arrivals through a
-/// `sys/ShardedEventQueue` — one heap per aggregation worker
-/// (`SimulationConfig::num_shards`), merged on (time, sequence), which
-/// pops identically to a single global heap at every W. Every aggregation
+/// is the latest arrival. Event modes route arrivals through one
+/// `sys/EventQueue` heap ordered by (time, sequence). Every aggregation
 /// emits one `RoundRecord`; in event modes a full wave of consecutive
 /// drops with nothing to aggregate emits an all-dropped record (NaN
 /// train_loss), so a starved deadline still terminates after
@@ -92,7 +90,7 @@ class ServerLoop {
   /// the current θ: downlink encode + billing, the client phase (in
   /// process, or collected from the ingest source), uplink size
   /// prediction, and one judged completion event per client — appended
-  /// to the open sync wave in dispatch order, or pushed onto its shard's
+  /// to the open sync wave in dispatch order, or pushed onto the event
   /// heap in event modes. Sync also draws the next cohort here and hints
   /// the store to prefetch it.
   Status DispatchWave(const std::vector<int>& clients, int wave);
@@ -186,7 +184,7 @@ class ServerLoop {
   /// Admitted arrivals awaiting the trigger, in arrival order.
   std::vector<ClientCompletionEvent> buffer_;
   /// Event modes: dispatched, not yet arrived.
-  ShardedEventQueue queue_;
+  EventQueue queue_;
   /// Sync: the open wave's remaining arrivals, in dispatch order.
   std::deque<ClientCompletionEvent> wave_;
   /// Sync: the next round's cohort, drawn one round ahead so the store

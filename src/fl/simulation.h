@@ -83,21 +83,13 @@ struct SimulationConfig {
   /// (fl/staleness.h); null means constant 1 (no discount).
   StalenessWeightFn staleness_weight;
   /// Client-state backend for stateful algorithms (src/state):
-  /// "lazy" | "tiered:<c>:<p>" | "sharded:<W>:<inner>". Empty keeps each
-  /// algorithm's own default (lazy). `lazy` keeps resident state
-  /// proportional to the *touched* client population — the lever that
-  /// makes 100k-client fleets affordable under 1% participation — and
-  /// `tiered` caps it at a pool size; see
-  /// `RoundRecord::state_bytes_resident` and bench_state_scale.
+  /// "lazy" | "tiered:<c>:<p>". Empty keeps each algorithm's own default
+  /// (lazy). `lazy` keeps resident state proportional to the *touched*
+  /// client population — the lever that makes 100k-client fleets
+  /// affordable under 1% participation — and `tiered` caps it at a pool
+  /// size; see `RoundRecord::state_bytes_resident` and bench_state_scale.
   std::string state_store;
-  /// Aggregation-server worker count W (>= 1). Each worker owns the
-  /// client-id partition `client % W` (util/shard.h): its slice of the
-  /// client-state store, its per-worker event heap, and its partial of the
-  /// hierarchical server reduce (vec::AxpyManySharded), combined in fixed
-  /// shard order. Every W is deterministic across thread counts; W = 1 is
-  /// bitwise identical to the pre-shard engine, and different W agree up
-  /// to float-summation regrouping (see bench_shard_scale). An explicit
-  /// `sharded:` state_store spec overrides this knob's store partition.
+  /// Must be 1: a stub for perfbench, the only code that still sets it.
   int num_shards = 1;
   /// When non-empty, append crash-safe checkpoints of the whole simulation
   /// (θ, RNG streams, history, per-client state, and — in event modes —

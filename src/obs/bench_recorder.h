@@ -5,18 +5,18 @@
 /// printed tables to stdout and the numbers died with the terminal. A
 /// `BenchRecorder` collects one bench binary's results — each a named row
 /// with numeric metrics — plus the *config context* that makes trajectories
-/// comparable across PRs (fleet preset, shard count W, store spec, codec,
-/// round budget), and serializes them with a stable field order so
-/// committed baselines diff cleanly under git.
+/// comparable across PRs (fleet preset, store spec, codec, round budget),
+/// and serializes them with a stable field order so committed baselines
+/// diff cleanly under git.
 ///
 /// Schema (schema_version 1):
 ///
 ///   {
-///     "bench": "shard_scale",
+///     "bench": "state_scale",
 ///     "schema_version": 1,
 ///     "context": { "clients": "50000", "store": "lazy", ... },
 ///     "results": [
-///       { "name": "W=4",
+///       { "name": "lazy",
 ///         "metrics": { "final_accuracy": 0.93, "upload_bytes": 123, ... } }
 ///     ]
 ///   }

@@ -3,7 +3,7 @@
 /// latency histograms with exact rank percentiles.
 ///
 /// FedADMM's headline claims are about *system* behavior — where a
-/// 1M-client sharded round spends its time, how many bytes cross the wire,
+/// 1M-client round spends its time, how many bytes cross the wire,
 /// how resident state grows — yet until this subsystem the engine had no
 /// way to see any of it. The registry is the one sink every layer reports
 /// into:
@@ -15,8 +15,8 @@
 ///     bucket-resolution p50/p90/p99 clamped to the exact extrema.
 ///
 /// Metric names are flat strings; the `{key=value}` label convention
-/// (`ShardLabel`) keys per-worker instances so W-shard runs expose
-/// per-worker skew.
+/// (`ShardLabel`) keys per-worker instances (the serve frontend's ingest
+/// workers) so runs expose per-worker skew.
 ///
 /// **Zero-perturbation contract.** The registry is disabled by default and
 /// enabling it must not change any trajectory: instruments never touch RNG
@@ -128,7 +128,7 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, HistogramStats>> histograms;
 
   /// Merged stats of every histogram whose name starts with `prefix`
-  /// (e.g. all `client/event_seconds{shard=*}` instances).
+  /// (e.g. all `serve/ingest_seconds{shard=*}` instances).
   HistogramStats AggregateHistograms(std::string_view prefix) const;
 };
 

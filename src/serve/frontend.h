@@ -13,11 +13,11 @@
 ///      never abort the server), validate session/round/dims/payload
 ///      sizes, mirror the straggler policy as a connection-level predicate
 ///      (the per-client `StragglerPolicy::Judge` the loop will apply
-///      again), then hand the frame to its aggregation shard
+///      again), then hand the frame to its ingest worker
 ///      (`ShardOfClient`) through a bounded lock-free ingest queue. A full
 ///      queue is backpressure: the client gets ACK(THROTTLED,
 ///      retry_after) and resends — uploads are never silently dropped;
-///   3. shard workers decode each payload exactly once (zero-copy views
+///   3. ingest workers decode each payload exactly once (zero-copy views
 ///      into the owned frame buffer, riding the SIMD unpack kernels via
 ///      `UpdateCodec::TryDecode`), fill the wave slot, and ACK with the
 ///      mirrored verdict;
@@ -61,9 +61,8 @@ namespace fedadmm::serve {
 
 /// \brief Frontend knobs.
 struct FrontendOptions {
-  /// Aggregation shards = ingest workers. Must equal the simulation's
-  /// `num_shards` partition for the per-shard queues to mirror worker
-  /// ownership (`ShardOfClient`).
+  /// Ingest workers, each with its own queue. `ShardOfClient` routes a
+  /// client's uploads to one of them; the engine itself is unsharded.
   int num_shards = 1;
   /// Per-shard ingest queue capacity (rounded up to a power of two). The
   /// backpressure knob: smaller queues throttle earlier.

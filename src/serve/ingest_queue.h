@@ -1,8 +1,8 @@
 /// \file ingest_queue.h
-/// \brief Bounded lock-free multi-producer queue feeding one shard worker.
+/// \brief Bounded lock-free multi-producer queue feeding one ingest worker.
 ///
 /// The admission path runs on transport threads (many producers); each
-/// aggregation shard owns one consumer worker. The ring is the Vyukov
+/// frontend ingest worker owns one consumer. The ring is the Vyukov
 /// bounded MPMC design: a power-of-two slot array whose per-slot sequence
 /// numbers carry the full producer/consumer handshake, so `TryPush` is one
 /// CAS on the tail and `TryPop` one CAS on the head — no mutex on the hot

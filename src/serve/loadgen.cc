@@ -54,14 +54,14 @@ Status DecodeRawFloats(const uint8_t* data, size_t len, uint64_t dim,
 
 LoadGenerator::LoadGenerator(FederatedProblem* problem,
                              FederatedAlgorithm* algorithm, uint64_t seed,
-                             int num_threads, int num_shards,
+                             int num_threads, int /*num_shards*/,
                              Frontend* frontend, Transport* transport,
                              LoadGenOptions options)
     : problem_(problem),
       frontend_(frontend),
       transport_(transport),
       options_(std::move(options)),
-      executor_(problem, algorithm, Rng(seed), num_threads, num_shards),
+      executor_(problem, algorithm, Rng(seed), num_threads),
       drivers_(options_.driver_threads),
       sessions_(static_cast<size_t>(problem->num_clients())) {}
 

@@ -68,8 +68,9 @@ class LoadGenerator {
   /// `problem`/`algorithm` are borrowed and must be the SAME objects the
   /// serve-mode Simulation aggregates with: the loop skips in-process
   /// client execution, so per-client algorithm state must mutate exactly
-  /// once — here. `seed`, `num_threads`, `num_shards` must match the
-  /// SimulationConfig for bitwise-equal waves.
+  /// once — here. `seed` and `num_threads` must match the
+  /// SimulationConfig for bitwise-equal waves. `num_shards` is ignored, a
+  /// stub kept only because perfbench passes it.
   LoadGenerator(FederatedProblem* problem, FederatedAlgorithm* algorithm,
                 uint64_t seed, int num_threads, int num_shards,
                 Frontend* frontend, Transport* transport,

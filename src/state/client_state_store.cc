@@ -6,19 +6,16 @@
 #include <system_error>
 
 #include "state/lazy_store.h"
-#include "state/sharded_store.h"
 #include "state/tiered_store.h"
 
 namespace fedadmm {
 namespace {
 
-constexpr char kShardedPrefix[] = "sharded:";
 constexpr char kTieredPrefix[] = "tiered:";
 
 // The one grammar string every factory error quotes, so a bad spec always
 // tells the caller both what it said and what would have parsed.
-constexpr char kSpecGrammar[] =
-    "lazy | tiered:<capacity_mb|<n>f>:<path> | sharded:<W>:<inner>";
+constexpr char kSpecGrammar[] = "lazy | tiered:<capacity_mb|<n>f>:<path>";
 
 // Largest MiB count whose byte size still fits int64.
 constexpr int64_t kMaxCapacityMiB = std::numeric_limits<int64_t>::max() >> 20;
@@ -31,9 +28,8 @@ Status SpecError(const std::string& spec, const std::string& why) {
 
 // Parses all of `token` as a decimal integer in [1, max]. Out-of-range
 // values fail instead of wrapping.
-template <typename Int>
-bool ParseCount(const std::string& token, Int max, Int* out) {
-  Int n = 0;
+bool ParseCount(const std::string& token, int64_t max, int64_t* out) {
+  int64_t n = 0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, n);
   if (ec != std::errc() || ptr != end || n < 1 || n > max) return false;
@@ -101,45 +97,14 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     const std::string& spec) {
   if (spec == "lazy") return {std::make_unique<LazyStateStore>()};
   if (spec.rfind(kTieredPrefix, 0) == 0) return MakeTieredStore(spec);
-  if (spec.rfind(kShardedPrefix, 0) == 0) {
-    const std::string arg = spec.substr(sizeof(kShardedPrefix) - 1);
-    const size_t colon = arg.find(':');
-    if (colon == std::string::npos) {
-      return SpecError(spec, "sharded needs a worker count and an inner spec");
-    }
-    const std::string count = arg.substr(0, colon);
-    const std::string inner = arg.substr(colon + 1);
-    int shards = 0;
-    if (!ParseCount(count, std::numeric_limits<int>::max(), &shards)) {
-      return SpecError(spec, "bad shard count '" + count + "' (want 1.." +
-                                 std::to_string(
-                                     std::numeric_limits<int>::max()) +
-                                 ")");
-    }
-    if (inner.rfind(kShardedPrefix, 0) == 0) {
-      return SpecError(spec, "sharded specs do not nest");
-    }
-    // Validate the inner spec through the same factory so error text stays
-    // uniform; W = 1 then *is* the inner store — one partition of
-    // everything, bitwise the unsharded backend.
-    FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<ClientStateStore> probe,
-                             MakeClientStateStore(inner));
-    if (shards == 1) return {std::move(probe)};
-    return {std::make_unique<ShardedStateStore>(shards, inner)};
-  }
   return SpecError(spec, "unknown spec");
 }
 
 Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
     const std::string& override_spec, const std::string& fallback_spec,
-    int num_clients, std::vector<StateSlotSpec> slots, int num_shards) {
-  std::string spec = override_spec.empty() ? fallback_spec : override_spec;
-  // The engine's num_shards partitions whatever backend was chosen, but an
-  // explicit sharded: spec keeps its own W.
-  if (num_shards > 1 && spec.rfind(kShardedPrefix, 0) != 0) {
-    spec = std::string(kShardedPrefix) + std::to_string(num_shards) + ":" +
-           spec;
-  }
+    int num_clients, std::vector<StateSlotSpec> slots) {
+  const std::string& spec =
+      override_spec.empty() ? fallback_spec : override_spec;
   FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<ClientStateStore> store,
                            MakeClientStateStore(spec));
   store->Configure(num_clients, std::move(slots));

@@ -19,7 +19,6 @@
 ///                        bytes are a knob (state/tiered_store.h).
 ///
 /// Both hold raw fp32, so they read and write the same values bitwise.
-/// `sharded:<W>:<inner>` partitions either across W workers.
 ///
 /// A *slot* is one R^dim state vector per client (FedADMM registers two:
 /// model and dual). Slots are registered once via `Configure` with a shared
@@ -111,11 +110,7 @@ class ClientStateStore {
   virtual int num_slots() const = 0;
   virtual int64_t slot_dim(int slot) const = 0;
 
-  /// Tells a backend which worker partition it serves, *before* Configure.
-  /// The sharded wrapper calls this on each inner store so backends with
-  /// external resources can disambiguate them (the tiered store suffixes
-  /// its log path `.seg<shard>` and labels its metrics `{shard=s}`).
-  /// Default: ignored — in-memory backends are shard-agnostic.
+  /// No-op with no caller, kept only because perfbench overrides it.
   virtual void SetShardContext(int shard, int num_shards) {
     (void)shard;
     (void)num_shards;
@@ -139,10 +134,7 @@ class ClientStateStore {
 ///   * "tiered:<c>:<p>"   — out-of-core: a `<c>` MiB buffer pool (or
 ///                          `<n>f` = exactly n frames, the test hook)
 ///                          over an append-only slab log at path `<p>`
-///                          (state/tiered_store.h);
-///   * "sharded:<W>:<s>"  — client-id partition over W copies of the
-///                          unsharded spec `<s>` (state/sharded_store.h);
-///                          W = 1 normalizes to `<s>` itself.
+///                          (state/tiered_store.h).
 /// Returns InvalidArgument for anything else, including counts that
 /// overflow their type; every error quotes the offending spec and this
 /// grammar.
@@ -153,13 +145,9 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
 /// algorithm's `fallback_spec` otherwise), builds the store and runs
 /// `Configure` — the one code path every stateful algorithm's Setup uses,
 /// so spec resolution and error handling cannot drift between them.
-/// `num_shards > 1` wraps the resolved spec in the client-id partition
-/// (`sharded:<num_shards>:<spec>`) unless the spec already chose its own
-/// sharding — an explicit `sharded:` spec always wins over the engine
-/// knob.
 Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
     const std::string& override_spec, const std::string& fallback_spec,
-    int num_clients, std::vector<StateSlotSpec> slots, int num_shards = 1);
+    int num_clients, std::vector<StateSlotSpec> slots);
 
 }  // namespace fedadmm
 

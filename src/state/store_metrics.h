@@ -3,11 +3,10 @@
 ///
 /// One shared set of counters — `state/mutable_touches_count` and
 /// `state/releases_count` — bumped by every concrete backend's
-/// `MutableView` / `Release`. The sharded wrapper forwards to its inner
-/// stores, which do the counting, so nothing is double-counted. Resident
-/// bytes are a per-round gauge stamped by the server loop
-/// (`server/state_bytes_resident`), not here: the stores' own
-/// `bytes_resident()` is the source of truth and the loop already reads it.
+/// `MutableView` / `Release`. Resident bytes are a per-round gauge stamped
+/// by the server loop (`server/state_bytes_resident`), not here: the
+/// stores' own `bytes_resident()` is the source of truth and the loop
+/// already reads it.
 ///
 /// Counters, not clocks: a store touch is far too hot (and too cheap) for
 /// per-call timing; counts per round are what the skew analysis needs.

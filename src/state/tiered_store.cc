@@ -20,7 +20,7 @@ constexpr size_t kMinClientsPerPrefetchTask = 64;
 }  // namespace
 
 TieredStateStore::TieredStateStore(TieredStoreOptions options)
-    : options_(std::move(options)), segment_path_(options_.path) {
+    : options_(std::move(options)) {
   FEDADMM_CHECK_MSG(
       options_.capacity_bytes > 0 || options_.capacity_frames > 0,
       "TieredStateStore: capacity must be positive");
@@ -32,20 +32,12 @@ TieredStateStore::~TieredStateStore() {
   // The slab log is spill scratch, not durable state (checkpoints own
   // durability); reclaim it with the store.
   log_.reset();
-  if (!segment_path_.empty()) RemoveFileIfExists(segment_path_);
+  RemoveFileIfExists(options_.path);
 }
 
 std::string TieredStateStore::name() const {
   // Round-trips through MakeClientStateStore.
   return "tiered:" + options_.capacity_token + ":" + options_.path;
-}
-
-void TieredStateStore::SetShardContext(int shard, int num_shards) {
-  shard_ = shard;
-  shard_count_ = num_shards;
-  segment_path_ = num_shards > 1
-                      ? options_.path + ".seg" + std::to_string(shard)
-                      : options_.path;
 }
 
 void TieredStateStore::Configure(int num_clients,
@@ -77,7 +69,7 @@ void TieredStateStore::Configure(int num_clients,
           ? options_.capacity_frames
           : std::max<int64_t>(options_.capacity_bytes / frame_bytes, 1);
 
-  auto log = SlabLog::Open(segment_path_, /*truncate=*/true);
+  auto log = SlabLog::Open(options_.path, /*truncate=*/true);
   FEDADMM_CHECK_MSG(log.ok(), log.status().ToString());
   log_ = std::move(log).ValueOrDie();
 
@@ -113,23 +105,16 @@ void TieredStateStore::Configure(int num_clients,
   prefetch_issued_.store(0, std::memory_order_relaxed);
   prefetch_late_.store(0, std::memory_order_relaxed);
 
-  // Resolve the obs handles once; under a shard context the names carry
-  // the per-worker label so W segments expose W counter families.
+  // Resolve the obs handles once.
   auto& registry = obs::MetricsRegistry::Global();
-  const auto named = [this](const char* base) {
-    return shard_count_ > 1 ? obs::ShardLabel(base, shard_)
-                            : std::string(base);
-  };
-  obs_.hits = registry.counter(named("state/pool/hits_count"));
-  obs_.misses = registry.counter(named("state/pool/misses_count"));
-  obs_.creates = registry.counter(named("state/pool/creates_count"));
-  obs_.evictions = registry.counter(named("state/pool/evictions_count"));
-  obs_.write_backs = registry.counter(named("state/pool/write_backs_count"));
-  obs_.prefetch_issued =
-      registry.counter(named("state/pool/prefetch_issued_count"));
-  obs_.prefetch_late =
-      registry.counter(named("state/pool/prefetch_late_count"));
-  obs_.resident_bytes = registry.gauge(named("state/pool/resident_bytes"));
+  obs_.hits = registry.counter("state/pool/hits_count");
+  obs_.misses = registry.counter("state/pool/misses_count");
+  obs_.creates = registry.counter("state/pool/creates_count");
+  obs_.evictions = registry.counter("state/pool/evictions_count");
+  obs_.write_backs = registry.counter("state/pool/write_backs_count");
+  obs_.prefetch_issued = registry.counter("state/pool/prefetch_issued_count");
+  obs_.prefetch_late = registry.counter("state/pool/prefetch_late_count");
+  obs_.resident_bytes = registry.gauge("state/pool/resident_bytes");
 }
 
 void TieredStateStore::NoteClientTouched(int client_id) const {

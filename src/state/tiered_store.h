@@ -25,11 +25,6 @@
 ///     release; `bytes_resident` is always `resident frames × frame
 ///     bytes`.
 ///
-/// Under `sharded:<W>:tiered:...` each worker's inner store receives
-/// `SetShardContext` and suffixes its log path with `.seg<shard>`, so W
-/// workers own W independent log segments, and its pool metrics carry the
-/// `{shard=s}` label.
-///
 /// Values are bitwise: slabs are raw fp32, so `tiered:` replays `lazy`
 /// exactly at any pool size and thread count (log *layout* varies with
 /// eviction order; contents do not).
@@ -63,7 +58,7 @@ struct TieredStoreOptions {
   /// Exactly one of the two is positive.
   int64_t capacity_bytes = 0;
   int64_t capacity_frames = 0;
-  /// Slab-log path (the shard context may suffix `.seg<s>`).
+  /// Slab-log path.
   std::string path;
 };
 
@@ -74,8 +69,6 @@ class TieredStateStore final : public ClientStateStore {
   ~TieredStateStore() override;
 
   std::string name() const override;
-
-  void SetShardContext(int shard, int num_shards) override;
 
   void Configure(int num_clients, std::vector<StateSlotSpec> slots) override;
   std::span<const float> View(int client_id, int slot) const override;
@@ -130,7 +123,7 @@ class TieredStateStore final : public ClientStateStore {
   /// Marks `client_id` touched (first materialization).
   void NoteClientTouched(int client_id) const;
 
-  /// Cached obs handles (per-shard labels resolved at Configure).
+  /// Cached obs handles (resolved at Configure).
   struct PoolObs {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
@@ -143,9 +136,6 @@ class TieredStateStore final : public ClientStateStore {
   };
 
   TieredStoreOptions options_;
-  int shard_ = 0;
-  int shard_count_ = 1;
-  std::string segment_path_;
 
   int num_clients_ = 0;
   int num_slots_ = 0;

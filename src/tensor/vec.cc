@@ -1,7 +1,6 @@
 #include "tensor/vec.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -18,12 +17,6 @@ namespace {
 obs::Histogram* AxpyManyHist() {
   static obs::Histogram* hist =
       obs::MetricsRegistry::Global().histogram("vec/axpy_many_seconds");
-  return hist;
-}
-
-obs::Histogram* AxpyManyShardedHist() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Global().histogram(
-      "vec/axpy_many_sharded_seconds");
   return hist;
 }
 
@@ -124,94 +117,6 @@ void AxpyMany(float alpha, const std::vector<std::span<const float>>& xs,
     float* yb = y.data() + begin;
     const size_t len = end - begin;
     for (const auto& x : xs) k.axpy(alpha, x.data() + begin, yb, len);
-  });
-}
-
-void AxpyManySharded(float alpha,
-                     const std::vector<std::span<const float>>& xs,
-                     const std::vector<int>& shards, int num_shards,
-                     std::span<float> y, ThreadPool* pool) {
-  FEDADMM_CHECK_MSG(shards.size() == xs.size(),
-                    "vec::AxpyManySharded: one shard id per vector");
-  // The W = 1 fast path *is* the unsharded kernel — bitwise, not just
-  // numerically: the sharded server at W = 1 must replay pre-shard
-  // trajectories exactly.
-  if (num_shards <= 1) {
-    AxpyMany(alpha, xs, y, pool);
-    return;
-  }
-  for (const auto& x : xs) FEDADMM_CHECK(x.size() == y.size());
-  if (xs.empty()) return;
-  obs::TraceScope scope("axpy_many_sharded", "vec", AxpyManyShardedHist());
-  scope.set_arg("vectors", static_cast<int64_t>(xs.size()));
-  const simd::KernelTable& k = simd::ActiveKernels();
-
-  // Per-shard partial timings expose worker skew (`vec/axpy_shard_seconds
-  // {shard=s}`). Purely additive wall measurement — the float math and
-  // task boundaries are untouched, so enabling metrics cannot perturb the
-  // reduce.
-  const bool timed = obs::MetricsEnabled();
-  std::vector<obs::Histogram*> shard_hist;
-  if (timed) {
-    shard_hist.reserve(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      shard_hist.push_back(obs::MetricsRegistry::Global().histogram(
-          obs::ShardLabel("vec/axpy_shard_seconds", s)));
-    }
-  }
-
-  // Group vector indices by shard, preserving list order within a shard.
-  std::vector<std::vector<int>> members(static_cast<size_t>(num_shards));
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const int s = shards[i];
-    FEDADMM_CHECK_MSG(s >= 0 && s < num_shards,
-                      "vec::AxpyManySharded: shard id out of range");
-    members[static_cast<size_t>(s)].push_back(static_cast<int>(i));
-  }
-
-  const size_t n = y.size();
-  std::vector<float> partials(static_cast<size_t>(num_shards) * n, 0.0f);
-  const size_t num_blocks = (n + kReduceBlock - 1) / kReduceBlock;
-
-  // One task per (shard, block): shards are independent partials, blocks
-  // are disjoint ranges, so all W · num_blocks tasks run concurrently —
-  // this is where the sharded server beats the single-block flat kernel.
-  const auto accumulate = [&](int task) {
-    const int s = task / static_cast<int>(num_blocks);
-    const size_t begin =
-        static_cast<size_t>(task % static_cast<int>(num_blocks)) *
-        kReduceBlock;
-    const size_t end = std::min(begin + kReduceBlock, n);
-    const auto task_start = timed ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-    float* partial = partials.data() + static_cast<size_t>(s) * n;
-    for (const int xi : members[static_cast<size_t>(s)]) {
-      const std::span<const float>& x = xs[static_cast<size_t>(xi)];
-      k.axpy(alpha, x.data() + begin, partial + begin, end - begin);
-    }
-    if (timed) {
-      shard_hist[static_cast<size_t>(s)]->Record(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        task_start)
-              .count());
-    }
-  };
-  const int num_tasks = num_shards * static_cast<int>(num_blocks);
-  if (pool == nullptr || pool->num_threads() <= 1 || num_tasks <= 1) {
-    for (int t = 0; t < num_tasks; ++t) accumulate(t);
-  } else {
-    pool->ParallelFor(num_tasks,
-                      [&](int t, int worker) { (void)worker; accumulate(t); });
-  }
-
-  // Combine in fixed shard order; empty shards are skipped so their +0.0
-  // partials cannot flip a signed zero in y.
-  ForEachBlock(n, pool, [&](size_t begin, size_t end) {
-    for (int s = 0; s < num_shards; ++s) {
-      if (members[static_cast<size_t>(s)].empty()) continue;
-      const float* partial = partials.data() + static_cast<size_t>(s) * n;
-      k.add(partial + begin, y.data() + begin, end - begin);
-    }
   });
 }
 

@@ -91,28 +91,6 @@ void AxpyMany(float alpha, const std::vector<std::span<const float>>& xs,
 void BlockedMean(const std::vector<std::span<const float>>& xs,
                  std::span<float> out, ThreadPool* pool = nullptr);
 
-/// Hierarchical sharded reduce: y += alpha * x for every x in `xs`, with
-/// the sum formed as W per-shard partials combined in fixed shard order.
-/// `shards[i]` in [0, num_shards) assigns x_i to its partial; within a
-/// shard, vectors accumulate in list order. Per element the op sequence is
-///
-///   partial_s = 0 + alpha·x_{s,0} + alpha·x_{s,1} + ...   (each shard s)
-///   y += partial_0; y += partial_1; ...                    (shard order)
-///
-/// which depends only on (xs, shards, num_shards) — never on the pool — so
-/// results are bitwise reproducible at any thread count for a fixed W.
-/// Different W regroup the float additions and may differ in the last ulp;
-/// `num_shards <= 1` skips the partials entirely and delegates to
-/// `AxpyMany`, making the W = 1 server bitwise identical to the unsharded
-/// one. Shards with no vectors contribute nothing (their partial is never
-/// added, so they cannot perturb signed zeros). This is the sharded
-/// server's aggregation hot path: with d below kReduceBlock the flat
-/// AxpyMany runs a single serial block, while the W partials here run
-/// concurrently.
-void AxpyManySharded(float alpha, const std::vector<std::span<const float>>& xs,
-                     const std::vector<int>& shards, int num_shards,
-                     std::span<float> y, ThreadPool* pool = nullptr);
-
 }  // namespace fedadmm::vec
 
 #endif  // FEDADMM_TENSOR_VEC_H_

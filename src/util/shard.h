@@ -1,14 +1,9 @@
 /// \file shard.h
 /// \brief The canonical client-id → shard partition function.
 ///
-/// The sharded aggregation server splits every per-client structure — the
-/// event queue's per-worker heaps (sys/event_queue.h), the partitioned
-/// client-state store (state/sharded_store.h) and the hierarchical reduce
-/// partials (tensor/vec.h AxpyManySharded) — by the *same* modulo
-/// partition, so a client's state, its arrival events and its contribution
-/// to the aggregate always land on the same worker. Keeping the function
-/// here, in the dependency-free util layer, is what lets sys, state and
-/// tensor agree without including each other.
+/// The serve frontend (serve/frontend.h) uses it to route each client's
+/// uploads to one of its ingest workers, so a client's frames always
+/// queue on the same worker.
 
 #ifndef FEDADMM_UTIL_SHARD_H_
 #define FEDADMM_UTIL_SHARD_H_
@@ -16,9 +11,9 @@
 namespace fedadmm {
 
 /// Shard owning `client_id` under `num_shards` workers. `num_shards <= 1`
-/// always maps to shard 0 (the unsharded server). Client ids are dense
-/// [0, m), so modulo is both a balanced and a churn-stable partition: a
-/// client keeps its shard for the lifetime of the fleet.
+/// always maps to shard 0. Client ids are dense [0, m), so modulo is both
+/// a balanced and a churn-stable partition: a client keeps its shard for
+/// the lifetime of the fleet.
 inline int ShardOfClient(int client_id, int num_shards) {
   if (num_shards <= 1) return 0;
   return client_id % num_shards;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "fl/algorithms/fedavg.h"
 #include "fl/quadratic_problem.h"
@@ -148,6 +149,17 @@ TEST(SimulationTest, InvalidConfigsAreRejected) {
     SimulationConfig config;
     Simulation sim(&problem, &algo, &wrong, config);
     EXPECT_TRUE(sim.Run().status().IsInvalidArgument());
+  }
+  // The engine is unsharded: any num_shards but 1 is refused.
+  for (const int shards : {0, 2}) {
+    SimulationConfig config;
+    config.num_shards = shards;
+    Simulation sim(&problem, &algo, &selector, config);
+    const Status status = sim.Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << shards;
+    EXPECT_NE(status.message().find("FrontendOptions::num_shards"),
+              std::string::npos)
+        << status.message();
   }
 }
 

@@ -175,32 +175,5 @@ TEST(ObsEquivalenceTest, DeterministicOnlyTraceIsByteIdenticalAcrossRuns) {
   std::remove(path_b.c_str());
 }
 
-TEST(ObsEquivalenceTest, ShardedRunFillsPerShardHistograms) {
-  SimulationConfig config;
-  config.num_shards = 4;
-  const std::vector<float> baseline = RunTheta(7, 3, 6, config);
-  std::vector<float> observed;
-  {
-    MetricsOn on;
-    obs::MetricsRegistry::Global().ResetValues();
-    observed = RunTheta(7, 3, 6, config);
-  }
-  EXPECT_EQ(baseline, observed);
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().Snapshot();
-  // Client events carry {shard=s} labels; 12 clients over 4 shards with
-  // half selected per round still touches more than one shard in 6 rounds.
-  const obs::HistogramStats fleet =
-      snapshot.AggregateHistograms("client/event_seconds");
-  EXPECT_GT(fleet.count, 0);
-  int shards_seen = 0;
-  for (const auto& [name, stats] : snapshot.histograms) {
-    if (name.rfind("client/event_seconds{", 0) == 0 && stats.count > 0) {
-      ++shards_seen;
-    }
-  }
-  EXPECT_GT(shards_seen, 1);
-}
-
 }  // namespace
 }  // namespace fedadmm

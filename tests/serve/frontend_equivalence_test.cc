@@ -2,7 +2,7 @@
 // wire sessions over a Transport is bitwise identical — θ, history,
 // byte ledgers, simulated time, drops — to the same run executed
 // in-process. Covered here for the loopback transport (FedAvg + q8 both
-// ways + deadline-drop stragglers on a sharded server; SCAFFOLD's
+// ways + deadline-drop stragglers over two ingest workers; SCAFFOLD's
 // two-payload uploads with and without a codec) and for real TCP via
 // SocketTransport, plus double-run determinism of the frontend's byte
 // ledger.
@@ -81,7 +81,6 @@ SimulationConfig Config() {
   config.max_rounds = kRounds;
   config.seed = kSeed;
   config.num_threads = kThreads;
-  config.num_shards = kShards;
   return config;
 }
 
@@ -156,7 +155,7 @@ RunResult RunServed(const RunSpec& setup, Transport* transport) {
   lg.uplink_codec = uplink_twin.get();
   lg.downlink_codec = downlink_twin.get();
   lg.poll_timeout_seconds = 60.0;
-  LoadGenerator loadgen(&problem, algo.get(), kSeed, kThreads, kShards,
+  LoadGenerator loadgen(&problem, algo.get(), kSeed, kThreads, /*num_shards=*/1,
                         &frontend, transport, lg);
   Status loadgen_status = Status::OK();
   std::thread driver([&] { loadgen_status = loadgen.Run(); });
@@ -197,7 +196,7 @@ void ExpectIdenticalRuns(const RunResult& served, const RunResult& local) {
 
 TEST(FrontendEquivalenceTest, LoopbackFedAvgQuantizedWithStragglers) {
   // The full stack: q8 uplink + q8 downlink, deadline-drop admission
-  // mirrored into ACKs, two aggregation shards.
+  // mirrored into ACKs, two ingest workers.
   RunSpec setup;
   setup.uplink_spec = "q8";
   setup.downlink_spec = "q8";

@@ -291,15 +291,13 @@ TEST_P(StoreSpecRefusalTest, FactoryAndRunReturnInvalidArgument) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, StoreSpecRefusalTest,
     ::testing::Values(
-        // 2^31 and 2^32 + 2 shards: an int cast would wrap them.
-        RefusedSpec{"sharded:2147483648:lazy", "bad shard count"},
-        RefusedSpec{"sharded:4294967298:lazy", "bad shard count"},
         // 2^43 MiB is the first capacity whose byte count overflows int64.
         RefusedSpec{"tiered:8796093022208:<p>", "bad tiered capacity"},
         RefusedSpec{"tiered:9000000000000:<p>", "bad tiered capacity"},
         RefusedSpec{"tiered:9223372036854775808f:<p>", "bad tiered capacity"},
         RefusedSpec{"dense", "unknown spec"},
         RefusedSpec{"quantized:8", "unknown spec"},
+        RefusedSpec{"sharded:2:lazy", "unknown spec"},
         RefusedSpec{"tiered:64:<p>:dense", "no inner spec"},
         RefusedSpec{"sharded:2:dense", "unknown spec"}),
     [](const auto& info) {

@@ -1,7 +1,6 @@
 // TieredStateStore: store-contract semantics under a tiny pool (faults,
 // write-backs, init-value reads), the factory's `tiered:` grammar and its
-// error messages, prefetch accounting, and per-shard log segments under
-// the `sharded:` wrapper.
+// error messages, and prefetch accounting.
 
 #include <gtest/gtest.h>
 
@@ -198,28 +197,6 @@ TEST(TieredStoreTest, ConfigureWipesLogAndDirectory) {
   EXPECT_EQ(store->num_touched_clients(), 0);
   EXPECT_EQ(store->View(2, 0)[0], 0.0f);
   store->Release(2);
-}
-
-TEST(TieredStoreTest, ShardedTieredOwnsPerShardSegments) {
-  const std::string base = TempPath("tiered_shard.slab");
-  auto store =
-      MakeClientStateStore("sharded:2:tiered:2f:" + base).ValueOrDie();
-  std::vector<StateSlotSpec> slots(1);
-  slots[0].dim = kDim;
-  store->Configure(kClients, std::move(slots));
-  for (int c = 0; c < kClients; ++c) {
-    std::span<float> v = store->MutableView(c, 0);
-    v[0] = static_cast<float>(c);
-    store->Release(c);
-  }
-  // Each worker opened its own log segment; values read back through the
-  // partition bitwise.
-  EXPECT_TRUE(FileExists(base + ".seg0"));
-  EXPECT_TRUE(FileExists(base + ".seg1"));
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(store->View(c, 0)[0], static_cast<float>(c));
-    store->Release(c);
-  }
 }
 
 TEST(TieredStoreTest, DestructorRemovesScratchSegment) {
