@@ -1,6 +1,7 @@
 #include "comm/codec.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "comm/error_feedback.h"
 #include "comm/identity.h"
@@ -11,20 +12,30 @@ namespace fedadmm {
 namespace {
 
 // Parses the integer suffix of `spec` after `prefix`; returns -1 when the
-// prefix does not match or the suffix is not a bare positive integer.
+// prefix does not match or the suffix is not a bare positive decimal that
+// fits an int (no sign, no spaces, no wrap-around).
 int ParseIntSuffix(const std::string& spec, const std::string& prefix) {
   if (spec.size() <= prefix.size() ||
       spec.compare(0, prefix.size(), prefix) != 0) {
     return -1;
   }
-  const std::string digits = spec.substr(prefix.size());
-  char* end = nullptr;
-  const long v = std::strtol(digits.c_str(), &end, 10);
-  if (end == digits.c_str() || *end != '\0' || v <= 0) return -1;
-  return static_cast<int>(v);
+  const char* begin = spec.data() + prefix.size();
+  const char* end = spec.data() + spec.size();
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, v);
+  if (ec != std::errc() || ptr != end || v <= 0) return -1;
+  return v;
 }
 
 }  // namespace
+
+std::vector<float> UpdateCodec::Decode(const Payload& payload) const {
+  Result<std::vector<float>> decoded =
+      TryDecode(payload.bytes.data(), payload.bytes.size(), payload.dim);
+  FEDADMM_CHECK_MSG(decoded.ok(), name() + ": own payload does not decode: " +
+                                      decoded.status().message());
+  return std::move(decoded).ValueOrDie();
+}
 
 Result<std::unique_ptr<UpdateCodec>> MakeUpdateCodec(const std::string& spec) {
   if (spec == "identity") {

@@ -7,18 +7,22 @@
 /// (sys/virtual_clock.h), and the server aggregates the *decoded* — lossy —
 /// reconstruction. An `UpdateCodec` bundles the three operations:
 ///
-///   * `Encode`   — vector in R^d to a self-describing byte payload;
-///   * `Decode`   — payload back to R^d (`Decode(Encode(v)).size() ==
-///                  v.size()` always; values within the codec's bound);
+///   * `Encode`    — vector in R^d to a self-describing byte payload;
+///   * `TryDecode` — bytes back to R^d, validated against the expected
+///                   dimension; a Status, never an abort, on bad bytes;
 ///   * `WireBytes(dim)` — the exact serialized size for a d-vector, used by
-///                  the accounting paths without materializing a payload.
+///                   the accounting paths without materializing a payload.
+///
+/// `TryDecode` is each codec's one decoder. `Decode(payload)` is derived
+/// from it for payloads produced in-process: it decodes at the payload's
+/// own dimension and CHECK-fails if its own encoder's bytes do not parse.
 ///
 /// Codecs are deterministic given their inputs: stochastic codecs draw every
 /// random bit from the caller-provided `Rng` (the simulator forks a
 /// per-(round, client) stream), so replay is bitwise reproducible across
 /// thread counts. `Encode` may mutate codec state (the error-feedback
 /// wrapper accumulates residuals) and is therefore called serially by the
-/// simulator; `Decode` and `WireBytes` are const and thread-safe.
+/// simulator; the decoders and `WireBytes` are const and thread-safe.
 
 #ifndef FEDADMM_COMM_CODEC_H_
 #define FEDADMM_COMM_CODEC_H_
@@ -37,6 +41,9 @@ namespace fedadmm {
 struct Payload {
   /// The serialized wire form; `bytes.size()` IS the transfer size.
   std::vector<uint8_t> bytes;
+  /// Length of the encoded vector, set by `Encode` so `Decode` knows the
+  /// dimension to validate against. Not part of the wire form.
+  int64_t dim = 0;
 
   /// Exact bytes this payload occupies on the wire.
   int64_t WireBytes() const { return static_cast<int64_t>(bytes.size()); }
@@ -60,25 +67,19 @@ class UpdateCodec {
   virtual Payload Encode(int64_t stream, const std::vector<float>& v,
                          Rng* rng) = 0;
 
-  /// Reconstructs a vector from `payload`. Pure function of the bytes.
-  /// CHECK-aborts on malformed bytes — only for payloads produced
-  /// in-process; boundary bytes go through `TryDecode`.
-  virtual std::vector<float> Decode(const Payload& payload) const = 0;
-
-  /// Status-returning decode for bytes that crossed a process/network
-  /// boundary (src/serve): validates the structure against `expected_dim`
-  /// before allocating and never aborts. On success the result is bitwise
-  /// identical to `Decode` of the same bytes. Thread-safe (const). The
-  /// default rejects — codecs opt in.
+  /// Reconstructs a vector from `len` bytes at `data`: validates the
+  /// structure against `expected_dim` before allocating and returns
+  /// InvalidArgument on anything `Encode` could not have produced, so bytes
+  /// that crossed a process/network boundary (src/serve) can never abort.
+  /// A pure function of the bytes; thread-safe (const).
   virtual Result<std::vector<float>> TryDecode(const uint8_t* data,
                                                size_t len,
-                                               int64_t expected_dim) const {
-    (void)data;
-    (void)len;
-    (void)expected_dim;
-    return Status::Unimplemented("UpdateCodec: " + name() +
-                                 " does not support boundary decode");
-  }
+                                               int64_t expected_dim) const = 0;
+
+  /// `TryDecode` of an in-process payload at its own `dim`; CHECK-fails on
+  /// error, which only a codec bug can cause. Virtual only so the
+  /// benchmark's tracing decorator can time it.
+  virtual std::vector<float> Decode(const Payload& payload) const;
 
   /// Exact `Encode(...).WireBytes()` for any vector of length `dim`.
   virtual int64_t WireBytes(int64_t dim) const = 0;

@@ -32,10 +32,6 @@ Payload ErrorFeedbackCodec::Encode(int64_t stream,
   return payload;
 }
 
-std::vector<float> ErrorFeedbackCodec::Decode(const Payload& payload) const {
-  return inner_->Decode(payload);
-}
-
 int64_t ErrorFeedbackCodec::WireBytes(int64_t dim) const {
   return inner_->WireBytes(dim);
 }

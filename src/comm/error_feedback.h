@@ -40,8 +40,7 @@ class ErrorFeedbackCodec : public UpdateCodec {
   std::string name() const override;
   Payload Encode(int64_t stream, const std::vector<float>& v,
                  Rng* rng) override;
-  std::vector<float> Decode(const Payload& payload) const override;
-  /// Wire format is the inner codec's; boundary decode delegates.
+  /// Wire format is the inner codec's; decoding delegates.
   Result<std::vector<float>> TryDecode(const uint8_t* data, size_t len,
                                        int64_t expected_dim) const override {
     return inner_->TryDecode(data, len, expected_dim);

@@ -1,5 +1,7 @@
 #include "comm/identity.h"
 
+#include <cstring>
+
 #include "comm/wire.h"
 
 namespace fedadmm {
@@ -9,20 +11,19 @@ Payload IdentityCodec::Encode(int64_t stream, const std::vector<float>& v,
   (void)stream;
   (void)rng;
   Payload payload;
-  payload.bytes.reserve(v.size() * sizeof(float));
-  wire::Writer writer(&payload.bytes);
-  for (float x : v) writer.PutF32(x);
+  payload.dim = static_cast<int64_t>(v.size());
+  if constexpr (wire::kHostIsLittleEndian) {
+    // The host's float array already is the wire form: one copy.
+    payload.bytes.resize(v.size() * sizeof(float));
+    if (!v.empty()) {
+      std::memcpy(payload.bytes.data(), v.data(), payload.bytes.size());
+    }
+  } else {
+    payload.bytes.reserve(v.size() * sizeof(float));
+    wire::Writer writer(&payload.bytes);
+    for (float x : v) writer.PutF32(x);
+  }
   return payload;
-}
-
-std::vector<float> IdentityCodec::Decode(const Payload& payload) const {
-  FEDADMM_CHECK_MSG(payload.bytes.size() % sizeof(float) == 0,
-                    "IdentityCodec: payload not a multiple of 4 bytes");
-  const size_t dim = payload.bytes.size() / sizeof(float);
-  std::vector<float> v(dim);
-  wire::Reader reader(payload.bytes);
-  for (size_t i = 0; i < dim; ++i) v[i] = reader.GetF32();
-  return v;
 }
 
 Result<std::vector<float>> IdentityCodec::TryDecode(
@@ -34,9 +35,11 @@ Result<std::vector<float>> IdentityCodec::TryDecode(
         " bytes, want " + std::to_string(expected_dim) + " * 4");
   }
   std::vector<float> v(static_cast<size_t>(expected_dim));
-  wire::ReaderView reader(data, len);
-  for (size_t i = 0; i < v.size(); ++i) {
-    FEDADMM_RETURN_IF_ERROR(reader.TryF32(&v[i]));
+  if constexpr (wire::kHostIsLittleEndian) {
+    if (len != 0) std::memcpy(v.data(), data, len);
+  } else {
+    wire::ReaderView reader(data, len);
+    for (float& x : v) FEDADMM_RETURN_IF_ERROR(reader.TryF32(&x));
   }
   return {std::move(v)};
 }

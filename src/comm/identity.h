@@ -5,7 +5,8 @@
 /// simulator always talks to an UpdateCodec, and attaching the identity
 /// codec is bitwise indistinguishable — in trajectory and in byte
 /// accounting — from attaching none (tests/fl/deterministic_replay_test.cc
-/// pins this).
+/// pins this). Its bytes are also the serving protocol's raw-fp32 format:
+/// src/serve encodes and decodes with it wherever no codec is attached.
 
 #ifndef FEDADMM_COMM_IDENTITY_H_
 #define FEDADMM_COMM_IDENTITY_H_
@@ -25,7 +26,6 @@ class IdentityCodec : public UpdateCodec {
 
   Payload Encode(int64_t stream, const std::vector<float>& v,
                  Rng* rng) override;
-  std::vector<float> Decode(const Payload& payload) const override;
   Result<std::vector<float>> TryDecode(const uint8_t* data, size_t len,
                                        int64_t expected_dim) const override;
   int64_t WireBytes(int64_t dim) const override;

@@ -41,7 +41,6 @@ class ChunkedQuantCodec : public UpdateCodec {
   /// `bits` in [1, 16]; `chunk` >= 1 values per scale.
   ChunkedQuantCodec(int bits, int chunk);
 
-  std::vector<float> Decode(const Payload& payload) const override;
   Result<std::vector<float>> TryDecode(const uint8_t* data, size_t len,
                                        int64_t expected_dim) const override;
   int64_t WireBytes(int64_t dim) const override;

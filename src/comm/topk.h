@@ -33,7 +33,6 @@ class TopKCodec : public UpdateCodec {
   std::string name() const override;
   Payload Encode(int64_t stream, const std::vector<float>& v,
                  Rng* rng) override;
-  std::vector<float> Decode(const Payload& payload) const override;
   Result<std::vector<float>> TryDecode(const uint8_t* data, size_t len,
                                        int64_t expected_dim) const override;
   int64_t WireBytes(int64_t dim) const override;

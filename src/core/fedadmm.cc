@@ -103,17 +103,6 @@ void FedAdmm::ServerUpdate(const std::vector<UpdateMessage>& updates,
   vec::AxpyMany(step, deltas, *theta, reduce_pool_);
 }
 
-void FedAdmm::AggregateOne(UpdateMessage msg, int round, int staleness,
-                           std::vector<float>* theta) {
-  // The engine already applied the staleness weight to Δ_i; the raw count
-  // is informational here.
-  (void)staleness;
-  const float eta = options_.eta_active_fraction
-                        ? 1.0f / static_cast<float>(num_clients_)
-                        : static_cast<float>(options_.eta.At(round));
-  vec::Axpy(eta, msg.delta, *theta);
-}
-
 Status FedAdmm::ValidateForEventMode() const {
   if (options_.eta_active_fraction) return Status::OK();
   return Status::InvalidArgument(

@@ -90,14 +90,12 @@ class FedAdmm : public FederatedAlgorithm {
   UpdateMessage ClientUpdate(int client_id, int round,
                              std::span<const float> theta,
                              LocalProblem* problem, Rng rng) override;
+  /// The tracking update (Eq. 5). An async arrival is the batch S_t = {i}:
+  /// θ ← θ + η Δ_i, with η = 1/m under `eta_active_fraction`. The dual
+  /// ascent already happened client-side in `ClientUpdate`, so applying
+  /// Δ_i alone keeps θ tracking the mean augmented model per client —
+  /// FedADMM needs no batch barrier.
   void ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
-                    std::vector<float>* theta) override;
-  /// Asynchronous arrival: the tracking update (Eq. 5) with S_t = {i},
-  /// θ ← θ + η Δ_i. The dual ascent already happened client-side in
-  /// `ClientUpdate`, so applying Δ_i alone keeps θ tracking the mean
-  /// augmented model per-client — FedADMM needs no batch barrier. Under
-  /// `eta_active_fraction` the active fraction of a single arrival is 1/m.
-  void AggregateOne(UpdateMessage msg, int round, int staleness,
                     std::vector<float>* theta) override;
 
   /// Fails event-mode runs unless η = |S_t|/m is on: a singleton async

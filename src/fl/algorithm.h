@@ -28,7 +28,7 @@ struct AlgorithmContext {
   /// Optional worker pool for blocked server-side reductions
   /// (tensor/vec AxpyMany / BlockedMean). Borrowed; may be nullptr
   /// (serial). The engine lends its client-phase pool, which is idle
-  /// whenever ServerUpdate / AggregateOne runs.
+  /// whenever ServerUpdate runs.
   ThreadPool* reduce_pool = nullptr;
 };
 
@@ -57,19 +57,17 @@ class FederatedAlgorithm {
                                      LocalProblem* problem, Rng rng) = 0;
 
   /// Aggregates the round's messages into the global model, in place.
+  /// Every execution mode calls it (fl/server_loop.h): sync with the wave,
+  /// buffered with K arrivals, async with a one-message batch — for the
+  /// batch-averaging methods (FedAvg / FedProx / SCAFFOLD / FedADMM) the
+  /// plain per-update step. Payloads arrive already scaled by the
+  /// staleness weight.
   virtual void ServerUpdate(const std::vector<UpdateMessage>& updates,
                             int round, std::vector<float>* theta) = 0;
 
-  /// Applies a single update as it arrives — the asynchronous execution
-  /// mode's aggregation hook (fl/server_loop.h). `staleness` is the number
-  /// of server aggregations that happened between the update's dispatch and
-  /// its arrival (0 = fresh); the engine has already scaled the payload by
-  /// the configured staleness weight, so implementations only consult
-  /// `staleness` when they want to adapt beyond that. The default wraps the
-  /// message into a one-element batch and calls `ServerUpdate`, which
-  /// preserves every batch method's semantics at |S_t| = 1 (FedAvg /
-  /// FedProx / SCAFFOLD average over the batch, so a singleton batch is the
-  /// plain per-update step).
+  /// `ServerUpdate` on a one-message batch. The engine never calls it; it
+  /// stays virtual only because perfbench's `TracedAlgorithm` overrides
+  /// it, and goes with the next change to perfbench.
   virtual void AggregateOne(UpdateMessage msg, int round, int staleness,
                             std::vector<float>* theta) {
     (void)staleness;

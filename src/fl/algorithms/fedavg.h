@@ -16,11 +16,10 @@ namespace fedadmm {
 /// local epochs (no system-heterogeneity accommodation); callers wanting
 /// variable work should use FedProx or FedADMM.
 ///
-/// Async / buffered modes use the inherited `AggregateOne` default: a
-/// singleton batch of the base `ServerUpdate`, i.e. θ ← θ + η_g Δ_i per
-/// arrival. That is the textbook FedAsync step — and it inherits FedAvg's
-/// drift sensitivity, since each arrival pulls θ a full server step toward
-/// one client's non-IID optimum.
+/// Async mode runs `ServerUpdate` on a one-message batch, i.e.
+/// θ ← θ + η_g Δ_i per arrival. That is the textbook FedAsync step — and
+/// it inherits FedAvg's drift sensitivity, since each arrival pulls θ a
+/// full server step toward one client's non-IID optimum.
 class FedAvg : public FederatedAlgorithm {
  public:
   explicit FedAvg(const LocalTrainSpec& local, float server_lr = 1.0f)

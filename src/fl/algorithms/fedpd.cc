@@ -84,17 +84,6 @@ void FedPd::ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
   communicate_this_round_ = coin_rng_.Bernoulli(comm_probability_);
 }
 
-void FedPd::AggregateOne(UpdateMessage msg, int round, int staleness,
-                         std::vector<float>* theta) {
-  (void)msg;
-  (void)round;
-  (void)staleness;
-  (void)theta;
-  FEDADMM_CHECK_MSG(false,
-                    "FedPD requires full participation and cannot aggregate "
-                    "per-update; use ExecutionMode::kSync");
-}
-
 Status FedPd::ValidateForEventMode() const {
   return Status::InvalidArgument(
       "FedPD aggregates θ = (1/m) Σ (w_i + y_i/ρ) over the full population; "

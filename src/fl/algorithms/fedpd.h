@@ -47,11 +47,6 @@ class FedPd : public FederatedAlgorithm {
                              LocalProblem* problem, Rng rng) override;
   void ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
                     std::vector<float>* theta) override;
-  /// FedPD aggregates θ = (1/m) Σ (w_i + y_i/ρ) over the *full* population;
-  /// a single arriving update cannot reconstitute that mean, so per-update
-  /// aggregation (async / buffered modes) is rejected outright.
-  void AggregateOne(UpdateMessage msg, int round, int staleness,
-                    std::vector<float>* theta) override;
 
   /// Event modes fail fast: partial batches cannot form the full-population
   /// mean FedPD's server step requires.

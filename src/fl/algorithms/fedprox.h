@@ -17,10 +17,9 @@ namespace fedadmm {
 /// Table V / bench_table5 reproduce. Variable local epochs are enabled by
 /// default (FedProx tolerates variable work, like FedADMM).
 ///
-/// Async / buffered modes use the inherited `AggregateOne` default
-/// (singleton-batch `ServerUpdate`); the proximal anchor makes stale
-/// arrivals gentler than FedAvg's, since every local step was pulled
-/// toward the θ the client downloaded.
+/// Async mode runs `ServerUpdate` on a one-message batch; the proximal
+/// anchor makes stale arrivals gentler than FedAvg's, since every local
+/// step was pulled toward the θ the client downloaded.
 class FedProx : public FederatedAlgorithm {
  public:
   FedProx(const LocalTrainSpec& local, float rho, float server_lr = 1.0f)

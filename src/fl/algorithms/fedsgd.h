@@ -12,7 +12,7 @@ namespace fedadmm {
 /// each selected client uploads its exact local gradient at θ and the
 /// server takes a single SGD step with the averaged gradient. Equivalent to
 /// FedAvg with E = 1 and B = ∞ plus a server learning rate. Under the
-/// async execution mode the inherited `AggregateOne` default turns this
+/// async execution mode the one-message `ServerUpdate` batch turns this
 /// into plain incremental SGD: one gradient step per arriving client.
 class FedSgd : public FederatedAlgorithm {
  public:

@@ -24,10 +24,9 @@ namespace fedadmm {
 /// recommends; epochs are fixed at E (no system-heterogeneity variant, per
 /// the paper's setup).
 ///
-/// Async / buffered modes use the inherited `AggregateOne` default: at
-/// |S_t| = 1 the base `ServerUpdate` applies θ ← θ + η_g Δw and
-/// c ← c + (1/m) Δc, exactly the paper's running-mean control refresh
-/// applied one arrival at a time.
+/// Async mode runs `ServerUpdate` on a one-message batch: at |S_t| = 1 it
+/// applies θ ← θ + η_g Δw and c ← c + (1/m) Δc, exactly the paper's
+/// running-mean control refresh applied one arrival at a time.
 class Scaffold : public FederatedAlgorithm {
  public:
   Scaffold(const LocalTrainSpec& local, float server_lr = 1.0f)

@@ -445,8 +445,7 @@ RoundRecord ServerLoop::Aggregate(int round) {
     loss_sum += e.message.train_loss;
     record.upload_bytes += e.message.UploadBytes();
     record.upload_bytes_raw += e.message.RawBytes();
-    // Discount stale payloads (FedBuff/FedAsync); the raw count still
-    // reaches AggregateOne for methods that adapt further.
+    // Discount stale payloads (FedBuff/FedAsync).
     const double w = staleness_weight_(staleness);
     FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
                       "staleness weight must be finite and >= 0");
@@ -456,13 +455,9 @@ RoundRecord ServerLoop::Aggregate(int round) {
   record.staleness_mean =
       buffer_.empty() ? std::numeric_limits<double>::quiet_NaN()
                       : staleness_sum / static_cast<double>(buffer_.size());
-  // An all-dropped record leaves θ untouched.
-  if (config_.mode == ExecutionMode::kAsync && !buffer_.empty()) {
-    ClientCompletionEvent& e = buffer_.front();
-    algorithm_->AggregateOne(std::move(e.message), round,
-                             server_version_ - e.theta_version, &theta_);
-    ++server_version_;
-  } else if (!buffer_.empty()) {
+  // An all-dropped record leaves θ untouched. Async is a one-arrival
+  // buffer, so every mode aggregates through the same ServerUpdate.
+  if (!buffer_.empty()) {
     std::vector<UpdateMessage> batch;
     batch.reserve(buffer_.size());
     for (ClientCompletionEvent& e : buffer_) {

@@ -18,9 +18,9 @@
 /// things:
 ///
 ///   * the **aggregation trigger** — the whole wave (sync: a barrier),
-///     `buffer_size` arrivals (buffered: one batched `ServerUpdate` over
-///     staleness-discounted payloads), or one arrival (async:
-///     `FederatedAlgorithm::AggregateOne`);
+///     `buffer_size` arrivals (buffered), or one arrival (async: buffered
+///     with K = 1). Every trigger runs one `ServerUpdate` over the
+///     buffered, staleness-discounted payloads;
 ///   * the **refill** — the next cohort after the barrier (sync), or one
 ///     replacement client per freed slot (buffered / async).
 ///

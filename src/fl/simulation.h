@@ -13,9 +13,9 @@
 ///                   as soon as `buffer_size` uploads arrive; late updates
 ///                   carry a staleness counter and are discounted by the
 ///                   pluggable staleness weight. Requires a system model.
-///   * `kAsync`    — every completion event triggers an immediate
-///                   `FederatedAlgorithm::AggregateOne`. Requires a system
-///                   model.
+///   * `kAsync`    — buffered with K = 1: every completion event triggers an
+///                   immediate one-message `ServerUpdate`. Requires a
+///                   system model.
 ///
 /// All three modes are deterministic for a fixed seed across thread counts.
 

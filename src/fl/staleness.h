@@ -6,8 +6,7 @@
 /// computed against a θ that is s versions old. A staleness weight
 /// s ↦ w(s) ∈ [0, 1] discounts such updates before aggregation (FedBuff /
 /// FedAsync style); the engine scales the update's payload vectors by w(s)
-/// and additionally passes the raw s to `FederatedAlgorithm::AggregateOne`
-/// for methods that want to adapt further.
+/// before `ServerUpdate` sees them.
 
 #ifndef FEDADMM_FL_STALENESS_H_
 #define FEDADMM_FL_STALENESS_H_

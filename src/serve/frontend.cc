@@ -1,34 +1,12 @@
 #include "serve/frontend.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <utility>
 
-#include "comm/wire.h"
 #include "util/shard.h"
 
 namespace fedadmm::serve {
-namespace {
-
-/// Raw-fp32 payload bytes for a d-vector (the no-codec wire format).
-int64_t RawPayloadBytes(int64_t dim) {
-  return dim * static_cast<int64_t>(sizeof(float));
-}
-
-/// Boundary-safe raw-fp32 decode; `len` was validated == dim * 4.
-std::vector<float> DecodeRawFloats(const uint8_t* data, int64_t dim) {
-  std::vector<float> out(static_cast<size_t>(dim));
-  if constexpr (wire::kHostIsLittleEndian) {
-    std::memcpy(out.data(), data, out.size() * sizeof(float));
-  } else {
-    wire::ReaderView r(data, static_cast<size_t>(dim) * sizeof(float));
-    for (float& v : out) (void)r.TryF32(&v);
-  }
-  return out;
-}
-
-}  // namespace
 
 Frontend::Frontend(FrontendOptions options) : options_(std::move(options)) {}
 
@@ -132,29 +110,16 @@ Status Frontend::BeginRound(int round, const std::vector<int>& cohort,
   }
 
   // ONE model frame for the whole cohort: the loop's own encoded
-  // broadcast when a downlink codec ran, raw little-endian θ otherwise.
-  if (downlink.encoded != nullptr) {
-    state->model_frame = std::make_shared<const std::vector<uint8_t>>(
-        BuildModelFrame(static_cast<uint32_t>(round), /*encoded=*/true,
-                        static_cast<uint64_t>(dim_),
-                        downlink.encoded->data(),
-                        static_cast<uint32_t>(downlink.encoded->size())));
-  } else {
-    std::vector<uint8_t> raw(theta.size() * sizeof(float));
-    if constexpr (wire::kHostIsLittleEndian) {
-      std::memcpy(raw.data(), theta.data(), raw.size());
-    } else {
-      std::vector<uint8_t> le;
-      le.reserve(raw.size());
-      wire::Writer w(&le);
-      for (const float v : theta) w.PutF32(v);
-      raw = std::move(le);
-    }
-    state->model_frame = std::make_shared<const std::vector<uint8_t>>(
-        BuildModelFrame(static_cast<uint32_t>(round), /*encoded=*/false,
-                        static_cast<uint64_t>(dim_), raw.data(),
-                        static_cast<uint32_t>(raw.size())));
-  }
+  // broadcast when a downlink codec ran, raw θ otherwise.
+  const bool encoded = downlink.encoded != nullptr;
+  const std::vector<uint8_t> raw =
+      encoded ? std::vector<uint8_t>()
+              : raw_codec_.Encode(kBroadcastStream, theta, nullptr).bytes;
+  const std::vector<uint8_t>& payload = encoded ? *downlink.encoded : raw;
+  state->model_frame = std::make_shared<const std::vector<uint8_t>>(
+      BuildModelFrame(static_cast<uint32_t>(round), encoded,
+                      static_cast<uint64_t>(dim_), payload.data(),
+                      static_cast<uint32_t>(payload.size())));
 
   {
     std::lock_guard<std::mutex> lock(round_mutex_);
@@ -460,9 +425,7 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
   // Structural validation before any queueing: dims must match the run
   // and payload lengths must match the codec's exact wire size — byte
   // billing is only honest if the frame is exactly the codec payload.
-  const UpdateCodec* codec = options_.uplink_codec;
-  const int64_t expect1 =
-      codec != nullptr ? codec->WireBytes(dim_) : RawPayloadBytes(dim_);
+  const int64_t expect1 = uplink_->WireBytes(dim_);
   const bool dims_ok =
       h.dim1 == static_cast<uint64_t>(dim_) &&
       (h.dim2 == 0 || h.dim2 == static_cast<uint64_t>(dim_)) &&
@@ -547,27 +510,20 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
 
 Status Frontend::DecodeItem(const ShardItem& item, UpdateMessage* msg) const {
   const UpdateFrameHeader& h = item.body.header;
-  const UpdateCodec* codec = options_.uplink_codec;
-  if (codec != nullptr) {
-    FEDADMM_ASSIGN_OR_RETURN(
-        msg->delta, codec->TryDecode(item.body.payload1, h.payload1_len,
+  FEDADMM_ASSIGN_OR_RETURN(
+      msg->delta, uplink_->TryDecode(item.body.payload1, h.payload1_len,
                                      static_cast<int64_t>(h.dim1)));
-    if (h.dim2 != 0) {
-      FEDADMM_ASSIGN_OR_RETURN(
-          msg->delta2, codec->TryDecode(item.body.payload2, h.payload2_len,
+  if (h.dim2 != 0) {
+    FEDADMM_ASSIGN_OR_RETURN(
+        msg->delta2, uplink_->TryDecode(item.body.payload2, h.payload2_len,
                                         static_cast<int64_t>(h.dim2)));
-    }
-    msg->wire_bytes = static_cast<int64_t>(h.payload1_len) +
-                      static_cast<int64_t>(h.payload2_len);
-  } else {
-    msg->delta =
-        DecodeRawFloats(item.body.payload1, static_cast<int64_t>(h.dim1));
-    if (h.dim2 != 0) {
-      msg->delta2 =
-          DecodeRawFloats(item.body.payload2, static_cast<int64_t>(h.dim2));
-    }
-    msg->wire_bytes = -1;  // raw fp32: UploadBytes falls back to RawBytes
   }
+  // Without a codec the bytes are raw fp32 and UploadBytes falls back to
+  // RawBytes, exactly as in-process.
+  msg->wire_bytes = options_.uplink_codec != nullptr
+                        ? static_cast<int64_t>(h.payload1_len) +
+                              static_cast<int64_t>(h.payload2_len)
+                        : -1;
   msg->client_id = item.client;
   msg->train_loss = h.train_loss;
   msg->epochs_run = static_cast<int>(h.epochs_run);

@@ -1,12 +1,10 @@
 #include "serve/loadgen.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "comm/wire.h"
 #include "serve/frame.h"
 
 namespace fedadmm::serve {
@@ -16,38 +14,6 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Serializes a float vector as raw little-endian fp32 payload bytes.
-std::vector<uint8_t> EncodeRawFloats(const std::vector<float>& v) {
-  std::vector<uint8_t> out;
-  if constexpr (wire::kHostIsLittleEndian) {
-    out.resize(v.size() * sizeof(float));
-    std::memcpy(out.data(), v.data(), out.size());
-  } else {
-    out.reserve(v.size() * sizeof(float));
-    wire::Writer w(&out);
-    for (const float x : v) w.PutF32(x);
-  }
-  return out;
-}
-
-/// Boundary-safe raw-fp32 parse (the client trusts the server no more
-/// than the server trusts the client).
-Status DecodeRawFloats(const uint8_t* data, size_t len, uint64_t dim,
-                       std::vector<float>* out) {
-  if (len != dim * sizeof(float)) {
-    return Status::InvalidArgument(
-        "loadgen: raw broadcast payload size does not match dim");
-  }
-  out->resize(dim);
-  if constexpr (wire::kHostIsLittleEndian) {
-    std::memcpy(out->data(), data, len);
-  } else {
-    wire::ReaderView r(data, len);
-    for (float& v : *out) FEDADMM_RETURN_IF_ERROR(r.TryF32(&v));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -213,18 +179,18 @@ Status LoadGenerator::DecodeModel(const std::vector<uint8_t>& model_frame,
   if (body.dim != static_cast<uint64_t>(problem_->dim())) {
     return Status::IoError("loadgen: MODEL dim does not match the problem");
   }
-  if (body.encoded) {
-    if (options_.downlink_codec == nullptr) {
-      return Status::InvalidArgument(
-          "loadgen: encoded broadcast but no downlink codec configured");
-    }
-    FEDADMM_ASSIGN_OR_RETURN(
-        *theta, options_.downlink_codec->TryDecode(
-                    body.payload, body.payload_len,
-                    static_cast<int64_t>(body.dim)));
-    return Status::OK();
+  // The client trusts the server's bytes no more than the server trusts
+  // the client's: both decode through Status-returning TryDecode.
+  const UpdateCodec* codec =
+      body.encoded ? options_.downlink_codec : &raw_codec_;
+  if (codec == nullptr) {
+    return Status::InvalidArgument(
+        "loadgen: encoded broadcast but no downlink codec configured");
   }
-  return DecodeRawFloats(body.payload, body.payload_len, body.dim, theta);
+  FEDADMM_ASSIGN_OR_RETURN(
+      *theta, codec->TryDecode(body.payload, body.payload_len,
+                               static_cast<int64_t>(body.dim)));
+  return Status::OK();
 }
 
 Status LoadGenerator::SendUpdate(int client, int round,
@@ -242,26 +208,17 @@ Status LoadGenerator::SendUpdate(int client, int round,
   // Encode with the client-side codec twin. Stream ids mirror the
   // engine's convention (2·client, 2·client+1); stateless codecs ignore
   // them, and only stateless codecs are allowed here (parallel encode).
-  std::vector<uint8_t> payload1;
-  std::vector<uint8_t> payload2;
-  UpdateCodec* codec = options_.uplink_codec;
-  if (codec != nullptr) {
-    payload1 =
-        std::move(codec->Encode(2 * client, msg.delta, nullptr).bytes);
-    if (!msg.delta2.empty()) {
-      payload2 = std::move(
-          codec->Encode(2 * client + 1, msg.delta2, nullptr).bytes);
-    }
-  } else {
-    payload1 = EncodeRawFloats(msg.delta);
-    if (!msg.delta2.empty()) payload2 = EncodeRawFloats(msg.delta2);
+  const Payload payload1 = uplink_->Encode(2 * client, msg.delta, nullptr);
+  Payload payload2;
+  if (!msg.delta2.empty()) {
+    payload2 = uplink_->Encode(2 * client + 1, msg.delta2, nullptr);
   }
-  header.payload1_len = static_cast<uint32_t>(payload1.size());
-  header.payload2_len = static_cast<uint32_t>(payload2.size());
+  header.payload1_len = static_cast<uint32_t>(payload1.bytes.size());
+  header.payload2_len = static_cast<uint32_t>(payload2.bytes.size());
 
   session.update_frame = BuildUpdateFrame(
-      session.token, header, payload1.data(),
-      payload2.empty() ? nullptr : payload2.data());
+      session.token, header, payload1.bytes.data(),
+      payload2.bytes.empty() ? nullptr : payload2.bytes.data());
   return session.channel->Send(session.update_frame);
 }
 

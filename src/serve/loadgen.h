@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "comm/codec.h"
+#include "comm/identity.h"
 #include "fl/client_executor.h"
 #include "serve/frontend.h"
 #include "serve/transport.h"
@@ -40,10 +41,12 @@ struct LoadGenOptions {
   /// Driver threads for session I/O (connect/pull/upload/ack phases).
   int driver_threads = 4;
   /// Client-side encoder twin of the run's uplink codec (borrowed, may be
-  /// null = raw fp32 payloads). Must be deterministic and stateless.
+  /// null = raw fp32 payloads, the identity codec's bytes). Must be
+  /// deterministic and stateless.
   UpdateCodec* uplink_codec = nullptr;
   /// Client-side decoder twin of the run's downlink codec (borrowed, may
-  /// be null = raw fp32 broadcast).
+  /// be null = raw fp32 broadcast). Raw MODEL frames always decode with
+  /// the identity codec.
   UpdateCodec* downlink_codec = nullptr;
   /// Per-frame receive deadline; a silent server fails the run (IoError)
   /// instead of hanging it.
@@ -95,7 +98,7 @@ class LoadGenerator {
   Status EnsureSession(int client);
   /// PULLs `round` on `client`'s session; returns the MODEL frame.
   Status Pull(int client, int round, std::vector<uint8_t>* model_frame);
-  /// Decodes a MODEL frame into θ (codec or raw fp32).
+  /// Decodes a MODEL frame into θ (downlink codec, or raw fp32).
   Status DecodeModel(const std::vector<uint8_t>& model_frame, int round,
                      std::vector<float>* theta);
   /// Builds + sends `client`'s UPDATE for `msg`.
@@ -131,6 +134,14 @@ class LoadGenerator {
     std::atomic<int64_t> throttle_retries{0};
   };
   mutable Cells cells_;
+
+  /// Raw fp32 is the identity codec's wire format: it encodes uploads when
+  /// no uplink codec is set and decodes every unencoded MODEL frame.
+  /// Declared last, for the layout reason given in `Frontend`.
+  IdentityCodec raw_codec_;
+  /// `options_.uplink_codec`, or `raw_codec_` when that is null.
+  UpdateCodec* const uplink_ =
+      options_.uplink_codec != nullptr ? options_.uplink_codec : &raw_codec_;
 };
 
 }  // namespace fedadmm::serve

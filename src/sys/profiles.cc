@@ -1,9 +1,11 @@
 #include "sys/profiles.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "util/csv.h"
 
@@ -43,14 +45,17 @@ Result<double> ParsePositive(const std::string& field, const char* what) {
   return v;
 }
 
+// A bare non-negative decimal that fits an int: an id past INT_MAX is
+// refused instead of wrapping into a negative or aliased index.
 Result<int> ParseClientId(const std::string& field) {
-  char* end = nullptr;
-  const long v = std::strtol(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0' || v < 0) {
+  int v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 0) {
     return Status::InvalidArgument("FleetModel: bad client id '" + field +
                                    "'");
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 }  // namespace

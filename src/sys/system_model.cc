@@ -8,7 +8,8 @@ Result<std::unique_ptr<StragglerPolicy>> MakeStragglerPolicy(
     return std::unique_ptr<StragglerPolicy>(new WaitForAllPolicy());
   }
   if (name == "deadline-drop" || name == "deadline-admit-partial") {
-    if (deadline_seconds <= 0.0) {
+    // Negated so NaN is refused too (every comparison with NaN is false).
+    if (!(deadline_seconds > 0.0)) {
       return Status::InvalidArgument("MakeStragglerPolicy: '" + name +
                                      "' needs deadline_seconds > 0");
     }

@@ -42,7 +42,8 @@ class SystemModel {
 
 /// \brief Builds the policy named by `name` ("wait-for-all",
 /// "deadline-drop", "deadline-admit-partial"); deadline policies require
-/// `deadline_seconds` > 0. Returns InvalidArgument for unknown names.
+/// `deadline_seconds` > 0 (NaN is refused, +inf never cuts anyone off).
+/// Returns InvalidArgument for unknown names.
 Result<std::unique_ptr<StragglerPolicy>> MakeStragglerPolicy(
     const std::string& name, double deadline_seconds);
 

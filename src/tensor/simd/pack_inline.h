@@ -4,9 +4,10 @@
 /// The generic (any bit width) pack/unpack loops are pure integer code and
 /// identical in every kernel table; both the scalar and the AVX2
 /// translation units inline them for the widths that have no wider
-/// specialization. Byte-for-byte equivalent to `wire::BitPacker` /
-/// `wire::BitUnpacker`, but writing straight into a caller-sized buffer
-/// instead of pushing single bytes through a `wire::Writer`.
+/// specialization. The pack loop is byte-for-byte equivalent to
+/// `wire::BitPacker`, but writes straight into a caller-sized buffer
+/// instead of pushing single bytes through a `wire::Writer`; the unpack
+/// loop is its inverse.
 
 #ifndef FEDADMM_TENSOR_SIMD_PACK_INLINE_H_
 #define FEDADMM_TENSOR_SIMD_PACK_INLINE_H_

@@ -127,7 +127,12 @@ TEST(WireFormatSizesTest, CompressionActuallyCompresses) {
 TEST(CodecFactoryTest, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "q", "q0", "q17", "sq99", "topk0", "topk101", "topk", "ef:",
-        "ef:ef:q8", "gzip", "q8x", "identity2"}) {
+        "ef:ef:q8", "gzip", "q8x", "identity2",
+        // Suffixes past INT_MAX must not wrap into a valid width (these
+        // were q8, sq1 and topk10 once narrowed to int), and the suffix is
+        // a bare decimal: no sign, no space.
+        "q4294967304", "sq4294967297", "topk4294967306", "ef:q4294967304",
+        "q 8", "q+8"}) {
     EXPECT_FALSE(MakeUpdateCodec(bad).ok()) << "'" << bad << "'";
   }
 }

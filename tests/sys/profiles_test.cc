@@ -193,6 +193,15 @@ TEST(FleetModelTest, MalformedCsvIsRejected) {
   // Non-numeric client id must not silently parse as 0.
   write((std::string(header) + "c0,10,1e6,1e6,0.01,1,\n").c_str());
   EXPECT_FALSE(FleetModel::FromTraceCsv(path).ok());
+  // Ids past INT_MAX must not wrap: 2^31 into a negative index, 2^32 into
+  // client 0.
+  for (const char* id : {"2147483648", "4294967296"}) {
+    write((std::string(header) + id + ",10,1e6,1e6,0.01,1,\n").c_str());
+    const auto fleet = FleetModel::FromTraceCsv(path);
+    ASSERT_FALSE(fleet.ok()) << id;
+    EXPECT_NE(fleet.status().message().find("bad client id"), std::string::npos)
+        << fleet.status().message();
+  }
   // Non-numeric latency must not silently parse as 0.
   write((std::string(header) + "0,10,1e6,1e6,abc,1,\n").c_str());
   EXPECT_FALSE(FleetModel::FromTraceCsv(path).ok());

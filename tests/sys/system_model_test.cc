@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -177,6 +178,14 @@ TEST(SystemModelTest, PolicyFactory) {
   EXPECT_TRUE(MakeStragglerPolicy("deadline-admit-partial", 2.0).ok());
   EXPECT_FALSE(MakeStragglerPolicy("deadline-drop", 0.0).ok());
   EXPECT_FALSE(MakeStragglerPolicy("yolo", 1.0).ok());
+  // NaN fails every comparison, so it must be refused here rather than
+  // reach the policy constructors' CHECK; +inf is a deadline nobody misses.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(MakeStragglerPolicy("deadline-drop", nan).ok());
+  EXPECT_FALSE(MakeStragglerPolicy("deadline-admit-partial", nan).ok());
+  EXPECT_TRUE(MakeStragglerPolicy("deadline-drop", inf).ok());
+  EXPECT_TRUE(MakeStragglerPolicy("deadline-admit-partial", inf).ok());
   EXPECT_EQ(MakeStragglerPolicy("deadline-drop", 2.0)
                 .ValueOrDie()
                 ->name(),
