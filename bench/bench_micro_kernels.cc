@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,10 +24,12 @@
 #include "fl/algorithm.h"
 #include "nn/model_zoo.h"
 #include "obs/bench_recorder.h"
+#include "state/slab_log.h"
 #include "tensor/simd/simd.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/vec.h"
 #include "util/env.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -337,6 +340,77 @@ void BM_MaxPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxPool)->Arg(12)->Arg(28);
+
+// ----- The slab log: spill, fault and checkpoint I/O -----------------------
+// Each record is one d-float client slab behind the 37-byte CRC-framed
+// header; d = 256 is fleet-buffered's slab. The log lives in the system
+// temp directory and is removed afterwards.
+
+std::string BenchSlabPath(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> bytes(n);
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<uint8_t>(i * 131);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(1024);
+
+// One dirty write-back: append a slab record, the amortized write-out of
+// full staging buffers included. The log restarts, untimed, every 4,096
+// records (~4 MB) so the file stays small.
+void BM_SlabLogAppend(benchmark::State& state) {
+  const std::vector<float> slab =
+      RandomVec(static_cast<size_t>(state.range(0)), 15);
+  const std::string path = BenchSlabPath("fedadmm_bench_append.slab");
+  std::unique_ptr<SlabLog> log;
+  int64_t appended = 0;
+  for (auto _ : state) {
+    if (appended++ % 4096 == 0) {
+      state.PauseTiming();
+      log.reset();
+      log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        log->AppendFloats(SlabLog::RecordType::kSlab, 7, 0, slab));
+  }
+  log.reset();
+  RemoveFileIfExists(path);
+  state.SetBytesProcessed(state.iterations() * state.range(0) * 4);
+}
+BENCHMARK(BM_SlabLogAppend)->Arg(256);
+
+// One cold fault: read a slab record back by offset, cycling through 4,096
+// records that were synced first (so every read goes to the file).
+void BM_SlabLogReadFloatsAt(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const std::string path = BenchSlabPath("fedadmm_bench_fault.slab");
+  auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+  std::vector<int64_t> offsets;
+  for (int client = 0; client < 4096; ++client) {
+    offsets.push_back(
+        log->AppendFloats(SlabLog::RecordType::kSlab, client, 0,
+                          RandomVec(d, static_cast<uint64_t>(client)))
+            .ValueOrDie());
+  }
+  if (!log->Sync().ok()) state.SkipWithError("sync failed");
+  std::vector<float> out(d);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log->ReadFloatsAt(offsets[next], out));
+    next = (next + 1) % offsets.size();
+  }
+  log.reset();
+  RemoveFileIfExists(path);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(d) * 4);
+}
+BENCHMARK(BM_SlabLogReadFloatsAt)->Arg(256);
 
 // Console output as usual, plus one BenchResult per benchmark run. The
 // `_wall_seconds` suffix puts the timings in the wall-clock gating class

@@ -1,8 +1,5 @@
 #include "state/slab_log.h"
 
-#include <cstring>
-#include <utility>
-
 namespace fedadmm {
 namespace {
 
@@ -15,6 +12,56 @@ constexpr size_t kHeaderSize = kHeaderBody + 4;
 bool ValidType(uint8_t type) {
   return type >= static_cast<uint8_t>(SlabLog::RecordType::kSlab) &&
          type <= static_cast<uint8_t>(SlabLog::RecordType::kCommit);
+}
+
+/// The decoded fields of one record header.
+struct Header {
+  uint8_t type = 0;
+  uint32_t client = 0;
+  uint32_t slot = 0;
+  int64_t value = 0;
+  uint64_t payload_len = 0;
+  uint32_t payload_crc = 0;
+};
+
+void EncodeHeader(SlabLog::RecordType type, int client, int slot,
+                  int64_t value, std::span<const uint8_t> payload,
+                  uint8_t* out) {
+  uint8_t* p = out;
+  const auto put = [&p](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) *p++ = static_cast<uint8_t>(v >> (8 * i));
+  };
+  put(kMagic, 4);
+  put(static_cast<uint8_t>(type), 1);
+  put(static_cast<uint32_t>(client), 4);
+  put(static_cast<uint32_t>(slot), 4);
+  put(static_cast<uint64_t>(value), 8);
+  put(payload.size(), 8);
+  put(Crc32(payload.data(), payload.size()), 4);
+  put(Crc32(out, kHeaderBody), 4);
+}
+
+/// Decodes the header bytes `in` and tells whether they start an intact
+/// record: magic, type and header CRC check out, and the payload fits in
+/// the `room` bytes the file holds after the header. Every read path runs
+/// these checks here; only the payload CRC is left to the caller.
+bool DecodeHeader(const uint8_t* in, uint64_t room, Header* out) {
+  const uint8_t* p = in;
+  const auto get = [&p](int bytes) {
+    uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) v |= uint64_t{*p++} << (8 * i);
+    return v;
+  };
+  const uint64_t magic = get(4);
+  out->type = static_cast<uint8_t>(get(1));
+  out->client = static_cast<uint32_t>(get(4));
+  out->slot = static_cast<uint32_t>(get(4));
+  out->value = static_cast<int64_t>(get(8));
+  out->payload_len = get(8);
+  out->payload_crc = static_cast<uint32_t>(get(4));
+  const uint64_t header_crc = get(4);
+  return magic == kMagic && ValidType(out->type) &&
+         header_crc == Crc32(in, kHeaderBody) && out->payload_len <= room;
 }
 
 }  // namespace
@@ -37,21 +84,10 @@ Result<std::unique_ptr<SlabLog>> SlabLog::Open(const std::string& path,
 Result<int64_t> SlabLog::Append(RecordType type, int client, int slot,
                                 int64_t value,
                                 std::span<const uint8_t> payload) {
-  ByteWriter header;
-  header.U32(kMagic);
-  header.U8(static_cast<uint8_t>(type));
-  header.U32(static_cast<uint32_t>(client));
-  header.U32(static_cast<uint32_t>(slot));
-  header.I64(value);
-  header.U64(payload.size());
-  header.U32(Crc32(payload.data(), payload.size()));
-  header.U32(Crc32(header.str().data(), header.size()));
+  uint8_t header[kHeaderSize] = {};
+  EncodeHeader(type, client, slot, value, payload, header);
   int64_t offset = 0;
-  FEDADMM_RETURN_IF_ERROR(
-      file_.Append(header.str().data(), header.size(), &offset));
-  if (!payload.empty()) {
-    FEDADMM_RETURN_IF_ERROR(file_.Append(payload.data(), payload.size()));
-  }
+  FEDADMM_RETURN_IF_ERROR(file_.Append(header, payload, &offset));
   return offset;
 }
 
@@ -62,45 +98,42 @@ Result<int64_t> SlabLog::AppendFloats(RecordType type, int client, int slot,
                  payload.size() * sizeof(float)});
 }
 
+int64_t SlabLog::RoomAfterHeader(int64_t offset) const {
+  const int64_t size = file_.size();
+  if (offset < 0 || offset > size ||
+      size - offset < static_cast<int64_t>(kHeaderSize)) {
+    return -1;
+  }
+  return size - offset - static_cast<int64_t>(kHeaderSize);
+}
+
+Status SlabLog::NoRecordAt(int64_t offset) const {
+  return Status::IoError("SlabLog: no valid record at offset " +
+                         std::to_string(offset) + " in '" + path() + "'");
+}
+
 Status SlabLog::ReadRecord(int64_t offset, Record* out, bool* valid) const {
   *valid = false;
-  if (offset < 0 || offset + static_cast<int64_t>(kHeaderSize) >
-                        file_.size()) {
-    return Status::OK();  // past the end: not a record, not an I/O error
-  }
-  uint8_t header[kHeaderSize];
-  FEDADMM_RETURN_IF_ERROR(file_.ReadAt(offset, header, kHeaderSize));
-  ByteReader reader(
-      std::string_view(reinterpret_cast<const char*>(header), kHeaderSize));
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t magic, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t slot, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(int64_t value, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t payload_len, reader.U64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t payload_crc, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t header_crc, reader.U32());
-  if (magic != kMagic || !ValidType(type) ||
-      header_crc != Crc32(header, kHeaderBody)) {
+  const int64_t room = RoomAfterHeader(offset);
+  if (room < 0) return Status::OK();  // past the end: not a record
+  uint8_t bytes[kHeaderSize] = {};
+  FEDADMM_RETURN_IF_ERROR(file_.ReadAt(offset, bytes, kHeaderSize));
+  Header header;
+  if (!DecodeHeader(bytes, static_cast<uint64_t>(room), &header)) {
     return Status::OK();
   }
-  const int64_t payload_end =
-      offset + static_cast<int64_t>(kHeaderSize + payload_len);
-  if (payload_end > file_.size()) return Status::OK();  // torn payload
-  std::string payload(payload_len, '\0');
-  if (payload_len > 0) {
-    FEDADMM_RETURN_IF_ERROR(file_.ReadAt(
-        offset + static_cast<int64_t>(kHeaderSize), payload.data(),
-        payload_len));
-  }
-  if (payload_crc != Crc32(payload.data(), payload.size())) {
+  out->payload.resize(header.payload_len);
+  FEDADMM_RETURN_IF_ERROR(
+      file_.ReadAt(offset + static_cast<int64_t>(kHeaderSize),
+                   out->payload.data(), out->payload.size()));
+  if (header.payload_crc !=
+      Crc32(out->payload.data(), out->payload.size())) {
     return Status::OK();
   }
-  out->type = static_cast<RecordType>(type);
-  out->client = static_cast<int>(client);
-  out->slot = static_cast<int>(slot);
-  out->value = value;
-  out->payload = std::move(payload);
+  out->type = static_cast<RecordType>(header.type);
+  out->client = static_cast<int>(header.client);
+  out->slot = static_cast<int>(header.slot);
+  out->value = header.value;
   out->offset = offset;
   *valid = true;
   return Status::OK();
@@ -109,23 +142,33 @@ Status SlabLog::ReadRecord(int64_t offset, Record* out, bool* valid) const {
 Status SlabLog::ReadAt(int64_t offset, Record* out) const {
   bool valid = false;
   FEDADMM_RETURN_IF_ERROR(ReadRecord(offset, out, &valid));
-  if (!valid) {
-    return Status::IoError("SlabLog: no valid record at offset " +
-                           std::to_string(offset) + " in '" + path() + "'");
-  }
-  return Status::OK();
+  return valid ? Status::OK() : NoRecordAt(offset);
 }
 
 Status SlabLog::ReadFloatsAt(int64_t offset, std::span<float> out) const {
-  Record record;
-  FEDADMM_RETURN_IF_ERROR(ReadAt(offset, &record));
-  if (record.payload.size() != out.size() * sizeof(float)) {
+  const std::span<uint8_t> payload(reinterpret_cast<uint8_t*>(out.data()),
+                                   out.size_bytes());
+  const int64_t room = RoomAfterHeader(offset);
+  if (room < 0) return NoRecordAt(offset);
+  // One read brings in the header and the payload whenever the file holds
+  // that many bytes; a record too short for `out` fails the length check.
+  uint8_t bytes[kHeaderSize] = {};
+  const bool fits = static_cast<uint64_t>(room) >= payload.size();
+  FEDADMM_RETURN_IF_ERROR(file_.ReadAt(
+      offset, bytes, fits ? payload : std::span<uint8_t>()));
+  Header header;
+  if (!DecodeHeader(bytes, static_cast<uint64_t>(room), &header)) {
+    return NoRecordAt(offset);
+  }
+  if (header.payload_len != payload.size()) {
     return Status::IoError(
         "SlabLog: slab payload at offset " + std::to_string(offset) +
-        " holds " + std::to_string(record.payload.size() / sizeof(float)) +
+        " holds " + std::to_string(header.payload_len / sizeof(float)) +
         " floats, want " + std::to_string(out.size()));
   }
-  std::memcpy(out.data(), record.payload.data(), record.payload.size());
+  if (header.payload_crc != Crc32(payload.data(), payload.size())) {
+    return NoRecordAt(offset);
+  }
   return Status::OK();
 }
 

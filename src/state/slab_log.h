@@ -27,9 +27,18 @@
 /// flipped bit) and reports the valid prefix length, so a reopened log
 /// resumes appending over the garbage instead of replaying it.
 ///
-/// Thread-safety: `Append` calls must be externally serialized; `ReadAt`
-/// is safe concurrently with other reads (positional I/O). The tiered
-/// store holds its own mutex around both.
+/// I/O: appends are write-combined in the file's staging buffer
+/// (util/file_io.h) — one record costs a header encode and a memcpy, and
+/// the buffer goes out in one pwrite when it fills or on `Sync` — and a
+/// slab fault is one positional read of header and payload together.
+/// Staged records read back like written ones. `Sync` is the durability
+/// point. The staging buffer (`RandomAccessFile::kStagingBytes`) is not
+/// counted in any store's `bytes_resident`.
+///
+/// Thread-safety: `Append` and `Sync` must be externally serialized with
+/// every other call, reads included (reads look at the staging buffer);
+/// reads are safe concurrently with each other. The tiered store holds its
+/// own mutex around all of them.
 
 #ifndef FEDADMM_STATE_SLAB_LOG_H_
 #define FEDADMM_STATE_SLAB_LOG_H_
@@ -78,11 +87,13 @@ class SlabLog {
                                std::span<const float> payload);
 
   /// Reads and validates the record at `offset`; IoError on any mismatch
-  /// (bad magic, bad CRC, truncated payload).
+  /// (bad magic, bad CRC, truncated payload). On error the contents of
+  /// `out` are unspecified.
   Status ReadAt(int64_t offset, Record* out) const;
 
-  /// Decodes a slab record's payload into `out` (fp32 bit copy); the
-  /// payload length must be exactly `out.size()` floats.
+  /// Decodes a slab record's payload into `out` (fp32 bit copy) with one
+  /// positional read; the payload length must be exactly `out.size()`
+  /// floats. On error the contents of `out` are unspecified.
   Status ReadFloatsAt(int64_t offset, std::span<float> out) const;
 
   /// Visits every valid record from the start in file order (visitor may
@@ -91,7 +102,8 @@ class SlabLog {
   /// the recovery semantic, not a failure.
   Result<int64_t> Scan(const std::function<void(const Record&)>& visitor) const;
 
-  /// Makes all appended records durable (fdatasync).
+  /// Writes out the staged records and makes every appended record
+  /// durable (fdatasync).
   Status Sync();
 
   int64_t end_offset() const { return file_.size(); }
@@ -103,6 +115,10 @@ class SlabLog {
   /// Reads one record at `offset`; sets `*valid` false (without an error
   /// Status) when the bytes there are not an intact record.
   Status ReadRecord(int64_t offset, Record* out, bool* valid) const;
+  /// File bytes after a header at `offset`, or -1 when no header fits
+  /// there. Computed without overflow, so a crafted length compares safely.
+  int64_t RoomAfterHeader(int64_t offset) const;
+  Status NoRecordAt(int64_t offset) const;
 
   RandomAccessFile file_;
 };

@@ -1,13 +1,25 @@
 // SlabLog: CRC-framed append/read round-trips, torn-tail recovery (the
 // SIGKILL-mid-append case), corrupt-record rejection, and the
-// meta..commit group scan the checkpoint layer builds on.
+// meta..commit group scan the checkpoint layer builds on. Also pins the
+// on-disk bytes and CRC-32's values, reads back records from the append
+// staging buffer and across its flushes, and refuses crafted lengths.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "fl/digest.h"
+#include "state/checkpoint.h"
 #include "state/slab_log.h"
 #include "util/file_io.h"
 
@@ -185,6 +197,276 @@ TEST(ByteCodecTest, WriterReaderRoundTrip) {
   EXPECT_TRUE(reader.empty());
   // Exhausted buffer: further reads are IoError, not garbage.
   EXPECT_FALSE(reader.U8().ok());
+}
+
+// The on-disk format is a contract: logs written by earlier builds must
+// restore. This fixed sequence of groups (payloads of 0, 1, 7, 8, 1,024 and
+// 4,096 bytes, ~1.3 MB in all, so any staging of appends flushes several
+// times) must hash to the digest of the original byte-at-a-time writer.
+TEST(SlabLogTest, OnDiskBytesArePinned) {
+  const std::string path = TempPath("slab_pinned.log");
+  auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+  const size_t sizes[] = {0, 1, 7, 8, 1024, 4096};
+  std::vector<uint8_t> bytes(4096);
+  int records = 0;
+  for (int group = 0; group < 200; ++group) {
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<uint8_t>(i * 31 + static_cast<size_t>(group));
+    }
+    const std::span<const uint8_t> all(bytes);
+    ASSERT_TRUE(log->Append(SlabLog::RecordType::kMeta, 0, 0, group,
+                            all.first(sizes[group % 6]))
+                    .ok());
+    for (int k = 0; k < 6; ++k) {
+      ASSERT_TRUE(log->Append(SlabLog::RecordType::kSlab, group * 7 + k,
+                              k % 2, 0, all.first(sizes[k]))
+                      .ok());
+    }
+    ASSERT_TRUE(
+        log->Append(SlabLog::RecordType::kCommit, 0, 0, group, {}).ok());
+    records += 8;
+  }
+  ASSERT_TRUE(log->Sync().ok());
+  EXPECT_EQ(records, 1600);
+
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  Fnv1a hash;
+  int64_t size = 0;
+  char chunk[8192];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    hash.Bytes(chunk, n);
+    size += static_cast<int64_t>(n);
+  }
+  std::fclose(f);
+  EXPECT_EQ(size, log->end_offset());
+  EXPECT_EQ(Hex(hash.value()), "0x9a715eff1266ce54") << size;
+}
+
+// A crafted header whose CRC is valid but whose payload length would wrap
+// `offset + header + length` negative: not a record, never an allocation.
+TEST(SlabLogTest, OversizePayloadLengthIsNotARecord) {
+  const std::string path = TempPath("slab_oversize.log");
+  RemoveFileIfExists(path);
+  ByteWriter header;
+  header.U32(0x47424C53u);  // 'SLBG'
+  header.U8(static_cast<uint8_t>(SlabLog::RecordType::kMeta));
+  header.U32(0);
+  header.U32(0);
+  header.I64(1);
+  header.U64((uint64_t{1} << 63) + 100);
+  header.U32(0);
+  header.U32(Crc32(header.str().data(), header.size()));
+  header.Bytes("payload", 7);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(header.str().data(), 1, header.size(), f);
+    std::fclose(f);
+  }
+  auto loaded = LoadLatestSimulationCheckpoint(path);
+  EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status().ToString();
+  auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+  EXPECT_EQ(log->end_offset(), 0);
+  RemoveFileIfExists(path);
+}
+
+// Appends are staged in memory; every read must see staged bytes, bytes
+// already written out, and records split between the two.
+TEST(SlabLogTest, ReadsSeeStagedAndStraddlingRecords) {
+  const std::string path = TempPath("slab_staged.log");
+  constexpr int64_t kStage =
+      static_cast<int64_t>(RandomAccessFile::kStagingBytes);
+  auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+  ASSERT_TRUE(log->Append(SlabLog::RecordType::kCommit, 0, 0, 0, {}).ok());
+  const int64_t header_size = log->end_offset();
+
+  struct Written {
+    int64_t offset;
+    std::vector<uint8_t> payload;
+  };
+  std::vector<Written> written;
+  auto append = [&](int client, size_t len) {
+    std::vector<uint8_t> payload(len);
+    for (size_t i = 0; i < len; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 7 + static_cast<size_t>(client));
+    }
+    const int64_t offset =
+        log->Append(SlabLog::RecordType::kSlab, client, 0, 0, payload)
+            .ValueOrDie();
+    written.push_back({offset, std::move(payload)});
+  };
+  // The second record's header straddles the first flush; then 4,000-byte
+  // slabs run past the second and third.
+  append(1, static_cast<size_t>(kStage - 2 * header_size - 10));
+  append(2, 4096);
+  for (int client = 3; log->end_offset() < 3 * kStage + 5000; ++client) {
+    append(client, 4000);
+  }
+  int header_straddles = 0;
+  int payload_straddles = 0;
+  for (const Written& w : written) {
+    const int64_t boundary = (w.offset / kStage + 1) * kStage;
+    const int64_t end =
+        w.offset + header_size + static_cast<int64_t>(w.payload.size());
+    if (boundary < w.offset + header_size) ++header_straddles;
+    else if (boundary < end) ++payload_straddles;
+  }
+  EXPECT_GE(header_straddles, 1);
+  EXPECT_GE(payload_straddles, 1);
+  // The tail is still staged: the file holds less than the log.
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_LT(static_cast<int64_t>(st.st_size), log->end_offset());
+  EXPECT_GT(written.back().offset, static_cast<int64_t>(st.st_size));
+
+  auto check_all = [&](const SlabLog& l) {
+    for (size_t i = 0; i < written.size(); ++i) {
+      const Written& w = written[i];
+      SlabLog::Record record;
+      ASSERT_TRUE(l.ReadAt(w.offset, &record).ok()) << i;
+      EXPECT_EQ(record.client, static_cast<int>(i) + 1) << i;
+      ASSERT_EQ(record.payload.size(), w.payload.size()) << i;
+      EXPECT_EQ(std::memcmp(record.payload.data(), w.payload.data(),
+                            w.payload.size()),
+                0)
+          << i;
+      if (w.payload.size() % sizeof(float) == 0) {
+        std::vector<float> floats(w.payload.size() / sizeof(float));
+        ASSERT_TRUE(l.ReadFloatsAt(w.offset, floats).ok()) << i;
+        EXPECT_EQ(std::memcmp(floats.data(), w.payload.data(),
+                              w.payload.size()),
+                  0)
+            << i;
+      }
+    }
+  };
+  check_all(*log);
+  int scanned = 0;
+  EXPECT_EQ(log->Scan([&](const SlabLog::Record&) { ++scanned; })
+                .ValueOrDie(),
+            log->end_offset());
+  EXPECT_EQ(scanned, static_cast<int>(written.size()) + 1);
+  const int64_t end = log->end_offset();
+  log.reset();  // close writes the staged tail out
+
+  auto reopened = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+  EXPECT_EQ(reopened->end_offset(), end);
+  check_all(*reopened);
+  RemoveFileIfExists(path);
+}
+
+// A SIGKILL loses only what was appended after the last Sync: the synced
+// group restores whole, and the valid prefix reaches the synced end.
+TEST(SlabLogTest, KillAfterSyncKeepsSyncedGroup) {
+  const std::string path = TempPath("slab_kill.log");
+  RemoveFileIfExists(path);
+  constexpr int kSlabs = 600;  // ~640 KB: the group spans several flushes
+  const std::vector<float> slab = Ramp(256, 0.25f);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Child: one synced group, then the start of another that stays in the
+    // staging buffer, then wait to be killed.
+    close(fds[0]);
+    auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+    const std::string blob = "engine";
+    const std::span<const uint8_t> meta(
+        reinterpret_cast<const uint8_t*>(blob.data()), blob.size());
+    bool ok = log->Append(SlabLog::RecordType::kMeta, 0, 0, 1, meta).ok();
+    for (int client = 0; ok && client < kSlabs; ++client) {
+      ok = log->AppendFloats(SlabLog::RecordType::kSlab, client, 0, slab)
+               .ok();
+    }
+    ok = ok && log->Append(SlabLog::RecordType::kCommit, 0, 0, 1, {}).ok() &&
+         log->Sync().ok();
+    const int64_t synced_end = ok ? log->end_offset() : -1;
+    (void)log->Append(SlabLog::RecordType::kMeta, 0, 0, 2, meta);
+    (void)log->AppendFloats(SlabLog::RecordType::kSlab, 0, 0, slab);
+    (void)!write(fds[1], &synced_end, sizeof(synced_end));
+    while (true) pause();
+  }
+  close(fds[1]);
+  int64_t synced_end = 0;
+  ASSERT_EQ(read(fds[0], &synced_end, sizeof(synced_end)),
+            static_cast<ssize_t>(sizeof(synced_end)));
+  kill(child, SIGKILL);
+  int status = 0;
+  waitpid(child, &status, 0);
+  close(fds[0]);
+  ASSERT_GT(synced_end, 0);
+
+  const auto loaded = LoadLatestSimulationCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
+  EXPECT_EQ(checkpoint.round, 1);
+  EXPECT_EQ(checkpoint.engine_blob, "engine");
+  ASSERT_EQ(checkpoint.slabs.size(), static_cast<size_t>(kSlabs));
+  for (int client = 0; client < kSlabs; ++client) {
+    EXPECT_EQ(checkpoint.slabs[static_cast<size_t>(client)].client, client);
+    EXPECT_EQ(checkpoint.slabs[static_cast<size_t>(client)].value, slab);
+  }
+  auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+  EXPECT_GE(log->end_offset(), synced_end);
+  RemoveFileIfExists(path);
+}
+
+TEST(ByteCodecTest, OversizeFloatCountIsAnError) {
+  // count * sizeof(float) wraps to 4 here; the reader must not believe it.
+  ByteWriter writer;
+  writer.U64((uint64_t{1} << 62) + 1);
+  writer.F64(0.0);
+  const std::string blob = writer.Take();
+  ByteReader reader(blob);
+  EXPECT_FALSE(reader.Floats().ok());
+}
+
+// Reference CRC-32: one bit at a time, no table.
+uint32_t BitwiseCrc32Step(uint32_t state, uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+  }
+  return state;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32("a", 1), 0xE8B7BE43u);
+}
+
+TEST(Crc32Test, SeedChainsIncrementalComputations) {
+  std::vector<uint8_t> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const uint32_t whole = Crc32(data.data(), data.size());
+  for (size_t split : {0, 1, 3, 8, 9, 500, 999, 1000}) {
+    const uint32_t head = Crc32(data.data(), split);
+    EXPECT_EQ(Crc32(data.data() + split, data.size() - split, head), whole)
+        << split;
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<uint8_t> data(2100 + 16);
+  uint32_t x = 12345;
+  for (uint8_t& b : data) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    uint32_t state = 0xFFFFFFFFu;
+    for (size_t len = 0; len <= 2100; ++len) {
+      ASSERT_EQ(Crc32(data.data() + offset, len), state ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+      state = BitwiseCrc32Step(state, data[offset + len]);
+    }
+  }
 }
 
 }  // namespace
