@@ -19,7 +19,6 @@ using namespace fedadmm::bench;
 struct Cell {
   int rounds;
   double final_acc;
-  double mean_inexactness;  // mean attained ||∇L_i||² at upload
 };
 
 Cell RunWithEpochs(Scenario* scenario, int epochs, int budget, double target,
@@ -35,13 +34,11 @@ Cell RunWithEpochs(Scenario* scenario, int epochs, int budget, double target,
   config.seed = seed;
   config.num_threads = 8;
   Simulation sim(scenario->problem.get(), &algo, &selector, config);
-  // Note: inexactness is reported per message; average it via the observer.
   const History h = std::move(sim.Run()).ValueOrDie();
   Cell cell;
   const int r = h.RoundsToAccuracy(target);
   cell.rounds = r < 0 ? budget + 1 : r;
   cell.final_acc = h.FinalAccuracy();
-  cell.mean_inexactness = 0.0;
   return cell;
 }
 

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   SimulationConfig config;
   config.max_rounds = rounds;
   config.seed = 43;
-  config.log_rounds = false;
   Simulation sim(&problem, &algorithm, &selector, config);
   sim.set_observer([](const RoundRecord& r) {
     std::printf("round %3d  acc %.3f  loss %.4f  (%.2fs)\n", r.round,

@@ -28,7 +28,6 @@ UpdateMessage FedAvg::ClientUpdate(int client_id, int round,
   msg.train_loss = result.mean_loss;
   msg.epochs_run = result.epochs_run;
   msg.steps_run = result.steps_run;
-  msg.final_grad_norm_sq = result.final_grad_norm_sq;
   return msg;
 }
 

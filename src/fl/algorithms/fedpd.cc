@@ -54,7 +54,6 @@ UpdateMessage FedPd::ClientUpdate(int client_id, int round,
   msg.train_loss = result.mean_loss;
   msg.epochs_run = result.epochs_run;
   msg.steps_run = result.steps_run;
-  msg.final_grad_norm_sq = result.final_grad_norm_sq;
   if (communicate_this_round_) {
     // Upload the augmented model w_i + y_i/ρ for global averaging.
     msg.delta.resize(w.size());

@@ -23,7 +23,6 @@ UpdateMessage FedSgd::ClientUpdate(int client_id, int round,
   msg.train_loss = problem->FullLossGradient(theta, msg.delta);
   msg.epochs_run = 0;
   msg.steps_run = 1;
-  msg.final_grad_norm_sq = vec::SquaredL2Norm(msg.delta);
   return msg;
 }
 

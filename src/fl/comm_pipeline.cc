@@ -11,11 +11,9 @@ namespace {
 constexpr uint64_t kUplinkCodecTag = 0x7C0DEC01;
 constexpr uint64_t kDownlinkCodecTag = 0x7C0DEC02;
 
-// Wire billing + codec latency instruments (cached registry handles).
+// Codec latency instruments (cached registry handles). Wire billing lives
+// in RoundRecord's byte columns.
 struct CommMetrics {
-  obs::Counter* uplink_wire_bytes;
-  obs::Counter* uplink_raw_bytes;
-  obs::Counter* downlink_broadcast_bytes;
   obs::Histogram* encode_uplink;
   obs::Histogram* encode_downlink;
 };
@@ -24,10 +22,6 @@ CommMetrics& Metrics() {
   static CommMetrics* metrics = [] {
     auto& registry = obs::MetricsRegistry::Global();
     auto* m = new CommMetrics();
-    m->uplink_wire_bytes = registry.counter("comm/uplink_wire_bytes");
-    m->uplink_raw_bytes = registry.counter("comm/uplink_raw_bytes");
-    m->downlink_broadcast_bytes =
-        registry.counter("comm/downlink_broadcast_bytes");
     m->encode_uplink = registry.histogram("comm/encode_uplink_seconds");
     m->encode_downlink = registry.histogram("comm/encode_downlink_seconds");
     return m;
@@ -55,9 +49,6 @@ DownlinkPlan CommPipeline::PrepareDownlink(int wave,
       payload.WireBytes() + (download_per_client_raw - raw_theta_bytes);
   plan.broadcast = downlink_->Decode(payload);
   plan.use_broadcast = true;
-  if (obs::MetricsEnabled()) {
-    Metrics().downlink_broadcast_bytes->Add(payload.WireBytes());
-  }
   // Keep the wire form: the serving frontend broadcasts these exact bytes,
   // so a remote client decodes precisely what the in-process loop decoded.
   plan.encoded = std::make_shared<const std::vector<uint8_t>>(
@@ -102,10 +93,6 @@ void CommPipeline::EncodeUplink(int wave, UpdateMessage* msg) {
   }
   FEDADMM_CHECK_MSG(wire == msg->wire_bytes,
                     "uplink codec: WireBytes() disagrees with Encode()");
-  if (obs::MetricsEnabled()) {
-    Metrics().uplink_wire_bytes->Add(wire);
-    Metrics().uplink_raw_bytes->Add(msg->RawBytes());
-  }
 }
 
 }  // namespace fedadmm

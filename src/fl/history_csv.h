@@ -63,6 +63,9 @@ class HistoryCsvWriter {
   /// Flushes and closes the file.
   Status Close();
 
+  /// True between a successful `Open` and `Close`.
+  bool is_open() const { return writer_.is_open(); }
+
  private:
   CsvWriter writer_;
   size_t num_context_columns_ = 0;

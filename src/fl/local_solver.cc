@@ -44,11 +44,6 @@ LocalSolveResult RunLocalSgd(LocalProblem* problem,
       if (result.final_grad_norm_sq <= spec.epsilon) return result;
     }
   }
-
-  // Report the attained inexactness even when no epsilon target was set.
-  problem->FullLossGradient(w, grad);
-  if (transform) transform(w, grad);
-  result.final_grad_norm_sq = vec::SquaredL2Norm(grad);
   return result;
 }
 

@@ -52,6 +52,7 @@ struct LocalSolveResult {
   int steps_run = 0;
   /// Squared norm of the transformed gradient at the final iterate,
   /// evaluated on the full local data — the attained ε_i of Eq. (6).
+  /// Measured only when `spec.epsilon > 0` (0 otherwise).
   double final_grad_norm_sq = 0.0;
 };
 
@@ -59,8 +60,8 @@ struct LocalSolveResult {
 ///
 /// `epochs` is the resolved epoch count for this round (callers sample it
 /// when `variable_epochs` is on). If `spec.epsilon > 0`, training may stop
-/// earlier once the inexactness criterion is met. The final gradient norm
-/// is always measured so callers can report attained inexactness.
+/// earlier once the inexactness criterion is met; the full-data gradient
+/// norm is measured only then, at the end of each epoch.
 LocalSolveResult RunLocalSgd(LocalProblem* problem, const LocalTrainSpec& spec,
                              int epochs, std::span<float> w, Rng* rng,
                              const GradientTransform& transform);

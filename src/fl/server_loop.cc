@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "fl/history_csv.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/checkpoint.h"
@@ -27,8 +26,11 @@ constexpr uint64_t kSelectionTag = 0x5E1EC7;
 constexpr uint64_t kInitTag = 0x1417;
 
 // Checkpoint mode tags: sync and event blobs never restore each other.
+// Tag 2 marked event blobs whose completion events still carried a
+// gradient norm; it stays retired so such a blob is refused, not misread.
+// Sync blobs hold no events, so their tag and bytes are unchanged.
 constexpr uint8_t kCheckpointSyncTag = 1;
-constexpr uint8_t kCheckpointEventTag = 2;
+constexpr uint8_t kCheckpointEventTag = 3;
 
 // Mean training loss; NaN (the skipped-metric sentinel) when empty.
 double MeanTrainLoss(double loss_sum, size_t count) {
@@ -54,11 +56,6 @@ int64_t BilledBytes(double fraction, int64_t per_client) {
 // server step) → finalize (eval + bookkeeping).
 struct EngineMetrics {
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-  obs::Counter* rounds = r.counter("server/rounds_count");
-  obs::Counter* selected = r.counter("server/clients_selected_count");
-  obs::Counter* dropped = r.counter("server/clients_dropped_count");
-  obs::Counter* partial = r.counter("server/clients_admitted_partial_count");
-  obs::Gauge* state_bytes_resident = r.gauge("server/state_bytes_resident");
   obs::Histogram* phase_select = r.histogram("server/phase/select_seconds");
   obs::Histogram* phase_dispatch =
       r.histogram("server/phase/dispatch_seconds");
@@ -203,8 +200,9 @@ Result<History> ServerLoop::Run() {
     FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
   }
   if (!config_.round_trace_path.empty()) {
+    // No context columns: the trace is the plain History::WriteCsv schema.
     FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
-        config_.round_trace_path, config_.round_trace_deterministic_only));
+        config_.round_trace_path, {}, config_.round_trace_deterministic_only));
   }
   Result<History> history = RunLoop();
   FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
@@ -487,57 +485,17 @@ bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
   record.state_bytes_resident = algorithm_->StateBytesResident();
   watch->Reset();
   history->Add(record);
-  if (obs::MetricsEnabled()) {
-    EngineMetrics& m = Metrics();
-    m.rounds->Add(1);
-    m.selected->Add(record.num_selected);
-    m.dropped->Add(record.num_dropped);
-    m.partial->Add(record.num_admitted_partial);
-    m.state_bytes_resident->Set(record.state_bytes_resident);
+  if (round_trace_.is_open()) {
+    const Status status = round_trace_.Append({}, record);
+    if (!status.ok()) {
+      // A broken trace sink must not abort training; warn once, stop writing.
+      FEDADMM_LOG(Warning) << "round trace disabled: " << status.message();
+      (void)round_trace_.Close();
+    }
   }
-  if (round_trace_.is_open()) WriteRoundTrace(record);
   if (observer_ && *observer_) (*observer_)(record);
-  if (config_.log_rounds && evaluate) {
-    FEDADMM_LOG(Info) << algorithm_->name() << " ["
-                      << ExecutionModeName(config_.mode) << "] round "
-                      << record.round << " t=" << record.sim_seconds
-                      << " acc=" << record.test_accuracy
-                      << " loss=" << record.train_loss
-                      << " stale=" << record.staleness_mean;
-  }
   return evaluate && config_.target_accuracy > 0.0 &&
          record.test_accuracy >= config_.target_accuracy;
-}
-
-void ServerLoop::WriteRoundTrace(const RoundRecord& record) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("round").Int(record.round);
-  w.Key("num_selected").Int(record.num_selected);
-  w.Key("num_dropped").Int(record.num_dropped);
-  w.Key("num_admitted_partial").Int(record.num_admitted_partial);
-  w.Key("train_loss").Double(record.train_loss);
-  w.Key("test_accuracy").Double(record.test_accuracy);
-  w.Key("test_loss").Double(record.test_loss);
-  w.Key("sim_seconds").Double(record.sim_seconds);
-  w.Key("upload_bytes").Int(record.upload_bytes);
-  w.Key("download_bytes").Int(record.download_bytes);
-  w.Key("upload_bytes_raw").Int(record.upload_bytes_raw);
-  w.Key("download_bytes_raw").Int(record.download_bytes_raw);
-  w.Key("staleness_mean").Double(record.staleness_mean);
-  w.Key("staleness_max").Int(record.staleness_max);
-  w.Key("state_bytes_resident").Int(record.state_bytes_resident);
-  // The only host-dependent field; zeroed in deterministic-only mode so
-  // same-seed traces diff byte-identical (mirrors the history CSV).
-  w.Key("wall_seconds")
-      .Double(round_trace_.deterministic_only() ? 0.0 : record.wall_seconds);
-  w.EndObject();
-  const Status status = round_trace_.Append(w.str());
-  if (!status.ok()) {
-    // A broken trace sink must not abort training; warn once, stop writing.
-    FEDADMM_LOG(Warning) << "round trace disabled: " << status.message();
-    (void)round_trace_.Close();
-  }
 }
 
 Status ServerLoop::WriteCheckpoint(SlabLog* log, const History& history) {
@@ -587,7 +545,7 @@ Result<bool> ServerLoop::TryRestore(History* history) {
   if (tag != (sync() ? kCheckpointSyncTag : kCheckpointEventTag)) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
-        "' was written by a different execution mode");
+        "' was written by a different execution mode or checkpoint format");
   }
   FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, r.Floats());
   if (theta.size() != theta_.size()) {

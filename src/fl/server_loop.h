@@ -47,8 +47,8 @@
 
 #include "fl/client_executor.h"
 #include "fl/comm_pipeline.h"
+#include "fl/history_csv.h"
 #include "fl/simulation.h"
-#include "obs/trace.h"
 #include "sys/event_queue.h"
 #include "util/stopwatch.h"
 
@@ -110,16 +110,12 @@ class ServerLoop {
   RoundRecord Aggregate(int round);
 
   /// Evaluates on the eval_every cadence (NaN sentinels otherwise),
-  /// stamps wall seconds, appends to `history`, notifies the observer and
-  /// logs. Returns true when the record's evaluated accuracy reached the
-  /// configured target (caller stops). `watch` is restarted.
+  /// stamps wall seconds, appends to `history` and to the opt-in round
+  /// trace, and notifies the observer. Returns true when the record's
+  /// evaluated accuracy reached the configured target (caller stops).
+  /// `watch` is restarted.
   bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
                       History* history);
-
-  /// Appends one JSONL object for `record` to the opt-in round trace
-  /// (no-op when `SimulationConfig::round_trace_path` is empty). Wall
-  /// fields are zeroed in deterministic-only mode.
-  void WriteRoundTrace(const RoundRecord& record);
 
   /// Appends one committed checkpoint group: a mode tag, θ, the selection
   /// RNG, algorithm extras, `history`, the loop state below (event queue
@@ -128,7 +124,8 @@ class ServerLoop {
 
   /// Restores from the newest committed group. Returns false (nothing
   /// touched) when no committed group exists — the fresh start; errors
-  /// on a malformed group or one written by the other kind of mode.
+  /// on a malformed group, or one written by the other kind of mode or in
+  /// an older event-checkpoint format.
   Result<bool> TryRestore(History* history);
 
   bool sync() const { return config_.mode == ExecutionMode::kSync; }
@@ -155,8 +152,9 @@ class ServerLoop {
   /// Borrowed live model buffer (owned by Simulation).
   std::vector<float>& theta_;
 
-  /// Opt-in per-round JSONL trace (closed/no-op unless configured).
-  obs::RoundTraceWriter round_trace_;
+  /// Opt-in per-round trace in the history-CSV schema (closed unless
+  /// `SimulationConfig::round_trace_path` is set).
+  HistoryCsvWriter round_trace_;
 
   /// Staleness discount; constant 1 in sync, where every update is fresh.
   StalenessWeightFn staleness_weight_;

@@ -70,8 +70,6 @@ struct SimulationConfig {
   /// Worker threads for the client phase; <= 0 picks
   /// min(hardware_concurrency, clients per round).
   int num_threads = 0;
-  /// Emit an INFO log line per evaluated round.
-  bool log_rounds = false;
   /// Execution semantics (see ExecutionMode). `kBuffered` and `kAsync`
   /// require a system model: event times come from the virtual clock.
   ExecutionMode mode = ExecutionMode::kSync;
@@ -107,12 +105,14 @@ struct SimulationConfig {
   /// missing file or a file without one committed group starts fresh
   /// (round 0) — the crash-before-first-checkpoint semantic.
   bool restore_from_checkpoint = false;
-  /// When non-empty, append one JSON object per RoundRecord to this file
-  /// (JSONL): the obs round trace. Purely additive — the training
+  /// When non-empty, stream one row per RoundRecord to this file as it is
+  /// recorded, in the `History::WriteCsv` schema (fl/history_csv.h;
+  /// `ReadHistoryCsv` parses it back). An unwritable path fails `Run`
+  /// with IoError before round 0. Purely additive — the training
   /// trajectory is bitwise identical with or without it.
   std::string round_trace_path;
-  /// Zero the wall-clock fields in the round trace so two runs of the same
-  /// seed produce byte-identical trace files (mirrors the history CSV's
+  /// Write the round trace's `wall_seconds` column as 0 so two runs of the
+  /// same seed produce byte-identical trace files (`HistoryCsvWriter`'s
   /// deterministic mode). Simulated-time fields are kept: they ARE
   /// deterministic.
   bool round_trace_deterministic_only = false;

@@ -29,9 +29,6 @@ struct UpdateMessage {
   double train_loss = 0.0;
   int epochs_run = 0;
   int steps_run = 0;
-  /// Squared norm of the final local (transformed) gradient — the
-  /// inexactness measure ε_i of Eq. (6) actually attained.
-  double final_grad_norm_sq = 0.0;
 
   /// Bytes this update occupied on the wire after uplink encoding
   /// (src/comm); -1 when no codec ran and the raw fp32 size applies.

@@ -1,11 +1,11 @@
 /// \file json.h
 /// \brief Minimal JSON writing and parsing for the observability rail.
 ///
-/// The obs subsystem persists three artifact families — `BENCH_*.json`
-/// perf baselines, chrome://tracing event files, and per-round JSONL
-/// traces — and `tools/bench_diff` reads the first back. The environment
-/// is offline and dependency-free, so this file owns the one JSON dialect
-/// all of them share:
+/// The obs subsystem persists two JSON artifact families — `BENCH_*.json`
+/// perf baselines and chrome://tracing event files — and
+/// `tools/bench_diff` reads the first back. The environment is offline
+/// and dependency-free, so this file owns the one JSON dialect both
+/// share:
 ///
 ///   * `JsonWriter` — streaming writer with automatic comma/nesting
 ///     management. Doubles print at max_digits10 (bitwise

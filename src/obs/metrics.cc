@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/json.h"
-
 namespace fedadmm::obs {
 namespace {
 
@@ -118,25 +116,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -150,12 +129,6 @@ Histogram* MetricsRegistry::histogram(std::string_view name) {
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters.emplace_back(name, counter->value());
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.emplace_back(name, gauge->value());
-  }
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms.emplace_back(name, histogram->Stats());
   }
@@ -164,8 +137,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) counter->Reset();
-  for (const auto& [name, gauge] : gauges_) gauge->Reset();
   for (const auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
@@ -187,37 +158,6 @@ std::string ShardLabel(std::string_view base, int shard) {
   name += std::to_string(shard);
   name += '}';
   return name;
-}
-
-std::string SnapshotToJson(const MetricsSnapshot& snapshot) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const auto& [name, value] : snapshot.counters) {
-    w.Key(name).Int(value);
-  }
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, value] : snapshot.gauges) {
-    w.Key(name).Int(value);
-  }
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const auto& [name, stats] : snapshot.histograms) {
-    w.Key(name).BeginObject();
-    w.Key("count").Int(stats.count);
-    w.Key("sum_seconds").Double(stats.sum);
-    w.Key("min_seconds").Double(stats.count ? stats.min : 0.0);
-    w.Key("max_seconds").Double(stats.count ? stats.max : 0.0);
-    w.Key("mean_seconds").Double(stats.Mean());
-    w.Key("p50_seconds").Double(stats.Percentile(50));
-    w.Key("p90_seconds").Double(stats.Percentile(90));
-    w.Key("p99_seconds").Double(stats.Percentile(99));
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return w.str();
 }
 
 }  // namespace fedadmm::obs

@@ -1,18 +1,14 @@
 /// \file metrics.h
-/// \brief Process-wide metrics registry: counters, gauges, and fixed-bucket
-/// latency histograms with exact rank percentiles.
+/// \brief Process-wide registry of fixed-bucket latency histograms with
+/// exact rank percentiles.
 ///
-/// FedADMM's headline claims are about *system* behavior — where a
-/// 1M-client round spends its time, how many bytes cross the wire,
-/// how resident state grows — yet until this subsystem the engine had no
-/// way to see any of it. The registry is the one sink every layer reports
-/// into:
-///
-///   * `Counter` — monotonically increasing int64 (events, wire bytes);
-///   * `Gauge`   — last-written int64 (resident state bytes);
-///   * `Histogram` — latency distribution over fixed log-spaced buckets
-///     (1 µs … 100 s, 8 buckets/decade) with exact count/sum/min/max and
-///     bucket-resolution p50/p90/p99 clamped to the exact extrema.
+/// The registry is where the engine's timing instruments report: each
+/// `Histogram` is a latency distribution over fixed log-spaced buckets
+/// (1 µs … 100 s, 8 buckets/decade) with exact count/sum/min/max and
+/// bucket-resolution p50/p90/p99 clamped to the exact extrema. Counts are
+/// not kept here: `RoundRecord` (fl/types.h) is the per-round ledger of
+/// clients, bytes and resident state, and the tiered store counts its own
+/// pool hits, misses and evictions (`TieredStateStore::pool_hits()` ...).
 ///
 /// Metric names are flat strings; the `{key=value}` label convention
 /// (`ShardLabel`) keys per-worker instances (the serve frontend's ingest
@@ -20,12 +16,12 @@
 ///
 /// **Zero-perturbation contract.** The registry is disabled by default and
 /// enabling it must not change any trajectory: instruments never touch RNG
-/// streams or float math on the training path — they only read clocks and
-/// bump counters. Hot call sites guard with `MetricsEnabled()` (one atomic
-/// load) so a disabled registry costs nothing. Tests pin the stronger
-/// property: enabled vs disabled runs leave θ bitwise identical.
+/// streams or float math on the training path — they only read clocks.
+/// Hot call sites guard with `MetricsEnabled()` (one atomic load) so a
+/// disabled registry costs nothing. Tests pin the stronger property:
+/// enabled vs disabled runs leave θ bitwise identical.
 ///
-/// Thread-safety: handle lookup and `Record`/`Add`/`Set` are thread-safe.
+/// Thread-safety: handle lookup and `Record` are thread-safe.
 /// Handles are stable for the process lifetime — `ResetValues` zeroes
 /// contents but never invalidates pointers, so call sites may cache them.
 
@@ -43,28 +39,6 @@
 #include <vector>
 
 namespace fedadmm::obs {
-
-/// \brief Monotonically increasing event/byte count.
-class Counter {
- public:
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-/// \brief Last-written instantaneous value.
-class Gauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
 
 /// \brief Immutable summary of a histogram's contents.
 ///
@@ -121,10 +95,8 @@ class Histogram {
   HistogramStats stats_;
 };
 
-/// \brief One registry entry family captured by `MetricsRegistry::Snapshot`.
+/// \brief Every histogram captured by `MetricsRegistry::Snapshot`.
 struct MetricsSnapshot {
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramStats>> histograms;
 
   /// Merged stats of every histogram whose name starts with `prefix`
@@ -145,13 +117,11 @@ class MetricsRegistry {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Finds or creates the named metric. Pointers stay valid for the
+  /// Finds or creates the named histogram. Pointers stay valid for the
   /// registry's lifetime (entries are never deleted).
-  Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
-  /// Point-in-time copy of every metric, sorted by name.
+  /// Point-in-time copy of every histogram, sorted by name.
   MetricsSnapshot Snapshot() const;
 
   /// Zeroes every value. Handles stay valid; the enabled flag is
@@ -160,8 +130,6 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::atomic<bool> enabled_{false};
 };
@@ -172,12 +140,6 @@ inline bool MetricsEnabled() { return MetricsRegistry::Global().enabled(); }
 /// Canonical label spelling: "base{shard=3}". Keying per-shard metric
 /// instances through one helper keeps the convention from drifting.
 std::string ShardLabel(std::string_view base, int shard);
-
-/// \brief Serializes a snapshot as a JSON object:
-/// `{"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
-/// min, max, mean, p50, p90, p99}}}`. Percentiles of empty histograms are
-/// `null` (JSON has no NaN).
-std::string SnapshotToJson(const MetricsSnapshot& snapshot);
 
 }  // namespace fedadmm::obs
 

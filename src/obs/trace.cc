@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "obs/json.h"
@@ -110,11 +111,10 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
 }
 
 TraceScope::TraceScope(const char* name, const char* category,
-                       Histogram* histogram, bool force_timing)
+                       Histogram* histogram)
     : name_(name), category_(category), histogram_(histogram) {
   record_trace_ = TraceRecorder::Global().enabled();
-  active_ = record_trace_ || force_timing ||
-            (histogram_ != nullptr && MetricsEnabled());
+  active_ = record_trace_ || (histogram_ != nullptr && MetricsEnabled());
   if (active_) start_ = std::chrono::steady_clock::now();
 }
 
@@ -145,39 +145,6 @@ double TraceScope::Stop() {
 
 TraceScope::~TraceScope() {
   if (active_) Stop();
-}
-
-RoundTraceWriter::~RoundTraceWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status RoundTraceWriter::Open(const std::string& path,
-                              bool deterministic_only) {
-  FEDADMM_CHECK_MSG(file_ == nullptr, "RoundTraceWriter: already open");
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status::IoError("RoundTraceWriter: cannot open " + path);
-  }
-  deterministic_only_ = deterministic_only;
-  return Status::OK();
-}
-
-Status RoundTraceWriter::Append(const std::string& json_object) {
-  FEDADMM_CHECK_MSG(file_ != nullptr, "RoundTraceWriter: not open");
-  if (std::fwrite(json_object.data(), 1, json_object.size(), file_) !=
-          json_object.size() ||
-      std::fputc('\n', file_) == EOF) {
-    return Status::IoError("RoundTraceWriter: write failed");
-  }
-  return Status::OK();
-}
-
-Status RoundTraceWriter::Close() {
-  if (file_ == nullptr) return Status::OK();
-  const int err = std::fclose(file_);
-  file_ = nullptr;
-  if (err != 0) return Status::IoError("RoundTraceWriter: close failed");
-  return Status::OK();
 }
 
 }  // namespace fedadmm::obs

@@ -1,26 +1,21 @@
 /// \file trace.h
-/// \brief Profiling spans: RAII `TraceScope`, a chrome://tracing recorder,
-/// and the per-round JSONL trace writer.
+/// \brief Profiling spans: RAII `TraceScope` and a chrome://tracing
+/// recorder.
 ///
-/// Three sinks share one instrumentation point. A `TraceScope` placed
+/// Two sinks share one instrumentation point. A `TraceScope` placed
 /// around an engine phase
 ///
 ///   * records its wall duration into a registry `Histogram` (when metrics
 ///     are enabled),
-///   * appends a complete ("ph":"X") event to the global `TraceRecorder`
-///     (when a trace capture is running), loadable in chrome://tracing or
-///     https://ui.perfetto.dev for flame-style inspection of one
-///     simulation,
-///   * and hands the measured seconds back to the caller (`Stop`), which
-///     the engine threads into the opt-in per-round JSONL trace.
+///   * and appends a complete ("ph":"X") event to the global
+///     `TraceRecorder` (when a trace capture is running), loadable in
+///     chrome://tracing or https://ui.perfetto.dev for flame-style
+///     inspection of one simulation.
 ///
 /// When no sink is interested the scope never reads the clock — the
-/// zero-perturbation contract of obs/metrics.h extends to tracing.
-///
-/// `RoundTraceWriter` appends one JSON object per line (JSONL): machines
-/// grep/parse single rounds without loading whole documents, and the
-/// `deterministic_only` flag zeroes wall-clock fields exactly like
-/// `HistoryCsvWriter` so double-run diffs stay byte-identical.
+/// zero-perturbation contract of obs/metrics.h extends to tracing. The
+/// per-round trace is not a span sink: `SimulationConfig::round_trace_path`
+/// streams `RoundRecord`s in the history-CSV schema (fl/history_csv.h).
 
 #ifndef FEDADMM_OBS_TRACE_H_
 #define FEDADMM_OBS_TRACE_H_
@@ -28,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -100,14 +94,12 @@ class TraceRecorder {
 
 /// \brief RAII wall-clock span feeding histogram + trace recorder.
 ///
-/// Inactive (never reads the clock) unless metrics are enabled, a trace
-/// capture is running, or the caller forces timing (`force_timing`, used
-/// by the engine when only the per-round JSONL trace wants the number).
+/// Inactive (never reads the clock) unless metrics are enabled with a
+/// histogram attached, or a trace capture is running.
 class TraceScope {
  public:
   explicit TraceScope(const char* name, const char* category = "engine",
-                      Histogram* histogram = nullptr,
-                      bool force_timing = false);
+                      Histogram* histogram = nullptr);
   ~TraceScope();
 
   TraceScope(const TraceScope&) = delete;
@@ -132,29 +124,6 @@ class TraceScope {
   bool active_;
   bool record_trace_;
   std::chrono::steady_clock::time_point start_{};
-};
-
-/// \brief Appends one JSON object per line; wall fields are the caller's
-/// responsibility to zero when `deterministic_only()` is set.
-class RoundTraceWriter {
- public:
-  ~RoundTraceWriter();
-
-  /// Opens (truncates) `path`. With `deterministic_only` the caller must
-  /// zero host-dependent fields — mirroring `HistoryCsvWriter`.
-  Status Open(const std::string& path, bool deterministic_only = false);
-
-  bool is_open() const { return file_ != nullptr; }
-  bool deterministic_only() const { return deterministic_only_; }
-
-  /// Writes one line (the serialized JSON object, no trailing newline).
-  Status Append(const std::string& json_object);
-
-  Status Close();
-
- private:
-  std::FILE* file_ = nullptr;
-  bool deterministic_only_ = false;
 };
 
 }  // namespace fedadmm::obs

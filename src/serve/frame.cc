@@ -114,7 +114,6 @@ std::vector<uint8_t> BuildUpdateFrame(uint64_t session,
   w.PutU32(header.epochs_run);
   w.PutU32(header.steps_run);
   w.PutF64(header.train_loss);
-  w.PutF64(header.final_grad_norm_sq);
   w.PutU64(header.dim1);
   w.PutU32(header.payload1_len);
   w.PutU64(header.dim2);
@@ -211,7 +210,6 @@ Status ParseUpdateBody(const uint8_t* data, size_t len, UpdateBody* out) {
   FEDADMM_RETURN_IF_ERROR(r.TryU32(&h.epochs_run));
   FEDADMM_RETURN_IF_ERROR(r.TryU32(&h.steps_run));
   FEDADMM_RETURN_IF_ERROR(r.TryF64(&h.train_loss));
-  FEDADMM_RETURN_IF_ERROR(r.TryF64(&h.final_grad_norm_sq));
   FEDADMM_RETURN_IF_ERROR(r.TryU64(&h.dim1));
   FEDADMM_RETURN_IF_ERROR(r.TryU32(&h.payload1_len));
   FEDADMM_RETURN_IF_ERROR(r.TryU64(&h.dim2));

@@ -40,7 +40,9 @@ namespace fedadmm::serve {
 
 /// "FADM" as a little-endian u32.
 inline constexpr uint32_t kFrameMagic = 0x4D444146u;
-inline constexpr uint8_t kProtocolVersion = 1;
+/// Version 2 dropped UPDATE's f64 gradient-norm field (fixed part 52 → 44
+/// bytes), so a version-1 peer is refused at the header, never misparsed.
+inline constexpr uint8_t kProtocolVersion = 2;
 /// Fixed header size preceding every body.
 inline constexpr size_t kFrameHeaderBytes = 20;
 /// Upper bound on body_len: anything larger is rejected before buffering,
@@ -119,8 +121,8 @@ struct ErrorBody {
 };
 
 /// \brief UPDATE body prefix: u32 round, u32 epochs_run, u32 steps_run,
-/// f64 train_loss, f64 final_grad_norm_sq, u64 dim1, u32 payload1_len,
-/// u64 dim2, u32 payload2_len — followed by payload1 then payload2 bytes.
+/// f64 train_loss, u64 dim1, u32 payload1_len, u64 dim2, u32 payload2_len
+/// — followed by payload1 then payload2 bytes.
 /// The sender's client id is *not* on the wire: the session binding is the
 /// only identity the server trusts.
 struct UpdateFrameHeader {
@@ -128,14 +130,13 @@ struct UpdateFrameHeader {
   uint32_t epochs_run = 0;
   uint32_t steps_run = 0;
   double train_loss = 0.0;
-  double final_grad_norm_sq = 0.0;
   uint64_t dim1 = 0;
   uint32_t payload1_len = 0;
   uint64_t dim2 = 0;
   uint32_t payload2_len = 0;
 };
 /// Fixed bytes of the UPDATE body before the payloads.
-inline constexpr size_t kUpdateFixedBytes = 52;
+inline constexpr size_t kUpdateFixedBytes = 44;
 
 /// \brief Parsed UPDATE body; payload pointers view the input buffer.
 struct UpdateBody {

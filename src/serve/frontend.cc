@@ -528,7 +528,6 @@ Status Frontend::DecodeItem(const ShardItem& item, UpdateMessage* msg) const {
   msg->train_loss = h.train_loss;
   msg->epochs_run = static_cast<int>(h.epochs_run);
   msg->steps_run = static_cast<int>(h.steps_run);
-  msg->final_grad_norm_sq = h.final_grad_norm_sq;
   return Status::OK();
 }
 

@@ -201,7 +201,6 @@ Status LoadGenerator::SendUpdate(int client, int round,
   header.epochs_run = static_cast<uint32_t>(msg.epochs_run);
   header.steps_run = static_cast<uint32_t>(msg.steps_run);
   header.train_loss = msg.train_loss;
-  header.final_grad_norm_sq = msg.final_grad_norm_sq;
   header.dim1 = msg.delta.size();
   header.dim2 = msg.delta2.size();
 

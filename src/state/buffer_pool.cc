@@ -27,11 +27,9 @@ BufferPool::Frame* BufferPool::Pin(uint64_t key, bool* hit) {
     Frame* frame = frames_[it->second].get();
     frame->pinned = true;
     frame->referenced = true;
-    ++hits_;
     *hit = true;
     return frame;
   }
-  ++misses_;
   *hit = false;
   const size_t index = AcquireFrame();
   Frame* frame = frames_[index].get();
@@ -81,7 +79,7 @@ void BufferPool::Clear() {
   map_.clear();
   clock_hand_ = 0;
   resident_frames_ = 0;
-  hits_ = misses_ = evictions_ = write_backs_ = 0;
+  evictions_ = write_backs_ = 0;
 }
 
 size_t BufferPool::AcquireFrame() {

@@ -94,9 +94,8 @@ class BufferPool {
   /// `resident_frames × frame_bytes` — the store's byte accounting.
   int64_t resident_bytes() const { return resident_frames_ * frame_bytes(); }
 
-  // Lifetime counters (reset by Clear).
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  // Lifetime counters (reset by Clear). Hits and misses are the caller's
+  // to count from `Pin`'s `hit` flag.
   int64_t evictions() const { return evictions_; }
   int64_t write_backs() const { return write_backs_; }
 
@@ -127,8 +126,6 @@ class BufferPool {
   size_t clock_hand_ = 0;
   int64_t resident_frames_ = 0;
 
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
   int64_t evictions_ = 0;
   int64_t write_backs_ = 0;
 };

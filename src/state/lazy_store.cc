@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "state/store_metrics.h"
-
 namespace fedadmm {
 
 void LazyStateStore::Configure(int num_clients,
@@ -68,7 +66,6 @@ std::span<const float> LazyStateStore::View(int client_id, int slot) const {
 }
 
 std::span<float> LazyStateStore::MutableView(int client_id, int slot) {
-  state_internal::NoteMutableTouch();
   Slot& s = slots_[static_cast<size_t>(slot)];
   float*& entry = s.blocks[static_cast<size_t>(client_id)];
   if (entry == nullptr) {
@@ -82,7 +79,6 @@ std::span<float> LazyStateStore::MutableView(int client_id, int slot) {
 
 void LazyStateStore::Release(int client_id) const {
   (void)client_id;
-  state_internal::NoteRelease();
 }
 
 void LazyStateStore::ForEachTouched(const TouchedStateVisitor& visitor) const {

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "state/store_metrics.h"
 #include "util/file_io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -87,10 +86,6 @@ void TieredStateStore::Configure(int num_clients,
         FEDADMM_CHECK_MSG(offset.ok(), offset.status().ToString());
         dir_[static_cast<size_t>(slot)][static_cast<size_t>(client)] =
             offset.ValueOrDie();
-        if (obs_.write_backs != nullptr && obs::MetricsEnabled()) {
-          obs_.write_backs->Add(1);
-          obs_.evictions->Add(1);
-        }
       });
 
   dir_.assign(static_cast<size_t>(num_slots_),
@@ -104,17 +99,6 @@ void TieredStateStore::Configure(int num_clients,
   creates_.store(0, std::memory_order_relaxed);
   prefetch_issued_.store(0, std::memory_order_relaxed);
   prefetch_late_.store(0, std::memory_order_relaxed);
-
-  // Resolve the obs handles once.
-  auto& registry = obs::MetricsRegistry::Global();
-  obs_.hits = registry.counter("state/pool/hits_count");
-  obs_.misses = registry.counter("state/pool/misses_count");
-  obs_.creates = registry.counter("state/pool/creates_count");
-  obs_.evictions = registry.counter("state/pool/evictions_count");
-  obs_.write_backs = registry.counter("state/pool/write_backs_count");
-  obs_.prefetch_issued = registry.counter("state/pool/prefetch_issued_count");
-  obs_.prefetch_late = registry.counter("state/pool/prefetch_late_count");
-  obs_.resident_bytes = registry.gauge("state/pool/resident_bytes");
 }
 
 void TieredStateStore::NoteClientTouched(int client_id) const {
@@ -136,30 +120,22 @@ BufferPool::Frame* TieredStateStore::PinSlab(int client_id, int slot,
   const StateSlotSpec& spec = slots_[static_cast<size_t>(slot)];
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.hits != nullptr && obs::MetricsEnabled()) obs_.hits->Add(1);
   } else if (offset >= 0) {
     // Cold fault: one positional read off the slab log.
     const Status status = log_->ReadFloatsAt(
         offset, {frame->data.data(), static_cast<size_t>(spec.dim)});
     FEDADMM_CHECK_MSG(status.ok(), status.ToString());
     misses_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.misses != nullptr && obs::MetricsEnabled()) obs_.misses->Add(1);
     if (prefetch_epoch_[static_cast<size_t>(client_id)] == epoch_) {
       // This client was in the latest prefetched cohort but its slab was
       // not resident when the wave needed it.
       prefetch_late_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.prefetch_late != nullptr && obs::MetricsEnabled()) {
-        obs_.prefetch_late->Add(1);
-      }
     }
   } else {
     // First materialization: seed from the slot's shared init value.
     std::memcpy(frame->data.data(), spec.init.data(),
                 static_cast<size_t>(spec.dim) * sizeof(float));
     creates_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.creates != nullptr && obs::MetricsEnabled()) {
-      obs_.creates->Add(1);
-    }
   }
   return frame;
 }
@@ -176,7 +152,6 @@ std::span<const float> TieredStateStore::View(int client_id, int slot) const {
 }
 
 std::span<float> TieredStateStore::MutableView(int client_id, int slot) {
-  state_internal::NoteMutableTouch();
   std::lock_guard<std::mutex> lock(mu_);
   const StateSlotSpec& spec = slots_[static_cast<size_t>(slot)];
   BufferPool::Frame* frame = PinSlab(client_id, slot, /*create=*/true);
@@ -186,13 +161,9 @@ std::span<float> TieredStateStore::MutableView(int client_id, int slot) {
 }
 
 void TieredStateStore::Release(int client_id) const {
-  state_internal::NoteRelease();
   std::lock_guard<std::mutex> lock(mu_);
   for (int slot = 0; slot < num_slots_; ++slot) {
     pool_->Unpin(KeyOf(client_id, slot), /*dirty=*/false);
-  }
-  if (obs_.resident_bytes != nullptr && obs::MetricsEnabled()) {
-    obs_.resident_bytes->Set(pool_->resident_bytes());
   }
 }
 
@@ -270,9 +241,6 @@ void TieredStateStore::FaultClientLocked(int client_id) const {
         offset, {frame->data.data(), static_cast<size_t>(spec.dim)});
     FEDADMM_CHECK_MSG(status.ok(), status.ToString());
     prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.prefetch_issued != nullptr && obs::MetricsEnabled()) {
-      obs_.prefetch_issued->Add(1);
-    }
   }
 }
 

@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "state/buffer_pool.h"
 #include "state/client_state_store.h"
 #include "state/slab_log.h"
@@ -123,18 +122,6 @@ class TieredStateStore final : public ClientStateStore {
   /// Marks `client_id` touched (first materialization).
   void NoteClientTouched(int client_id) const;
 
-  /// Cached obs handles (resolved at Configure).
-  struct PoolObs {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* creates = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* write_backs = nullptr;
-    obs::Counter* prefetch_issued = nullptr;
-    obs::Counter* prefetch_late = nullptr;
-    obs::Gauge* resident_bytes = nullptr;
-  };
-
   TieredStoreOptions options_;
 
   int num_clients_ = 0;
@@ -161,7 +148,6 @@ class TieredStateStore final : public ClientStateStore {
   mutable std::atomic<int64_t> creates_{0};
   mutable std::atomic<int64_t> prefetch_issued_{0};
   mutable std::atomic<int64_t> prefetch_late_{0};
-  PoolObs obs_;
 };
 
 }  // namespace fedadmm

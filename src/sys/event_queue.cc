@@ -37,7 +37,6 @@ void SerializeClientCompletionEvent(const ClientCompletionEvent& event,
   writer->F64(event.message.train_loss);
   writer->U32(static_cast<uint32_t>(event.message.epochs_run));
   writer->U32(static_cast<uint32_t>(event.message.steps_run));
-  writer->F64(event.message.final_grad_norm_sq);
   writer->I64(event.message.wire_bytes);
 }
 
@@ -74,7 +73,6 @@ Result<ClientCompletionEvent> DeserializeClientCompletionEvent(
   event.message.epochs_run = static_cast<int>(epochs_run);
   FEDADMM_ASSIGN_OR_RETURN(uint32_t steps_run, reader->U32());
   event.message.steps_run = static_cast<int>(steps_run);
-  FEDADMM_ASSIGN_OR_RETURN(event.message.final_grad_norm_sq, reader->F64());
   FEDADMM_ASSIGN_OR_RETURN(event.message.wire_bytes, reader->I64());
   return {std::move(event)};
 }

@@ -87,6 +87,9 @@ TEST(LocalSolverTest, ReportsFinalTransformedGradNorm) {
   LocalTrainSpec spec;
   spec.learning_rate = 0.2f;
   spec.batch_size = 0;
+  // The norm is measured only under an ε target; one this tight never
+  // stops the solve early.
+  spec.epsilon = 1e-300;
   Rng rng(5);
   const auto result = RunLocalSgd(local.get(), spec, 50, w, &rng, nullptr);
   std::vector<float> grad(6);
@@ -115,6 +118,7 @@ TEST(LocalSolverTest, MoreEpochsYieldSmallerInexactness) {
   LocalTrainSpec spec;
   spec.learning_rate = 0.1f;
   spec.batch_size = 0;
+  spec.epsilon = 1e-300;  // measure ε_i without stopping early
 
   auto run = [&](int epochs) {
     auto local = problem.MakeLocalProblem(3, 0);

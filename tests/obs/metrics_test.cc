@@ -8,27 +8,8 @@
 
 #include <cmath>
 
-#include "obs/json.h"
-
 namespace fedadmm::obs {
 namespace {
-
-TEST(CounterTest, AddsAndResets) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0);
-  c.Add(3);
-  c.Add(4);
-  EXPECT_EQ(c.value(), 7);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0);
-}
-
-TEST(GaugeTest, KeepsLastValue) {
-  Gauge g;
-  g.Set(10);
-  g.Set(-2);
-  EXPECT_EQ(g.value(), -2);
-}
 
 TEST(HistogramStatsTest, BucketBoundsAreLogSpaced) {
   // Bucket 0 tops out at 1 µs; every 8th bound is the next decade exactly.
@@ -156,32 +137,30 @@ TEST(HistogramTest, MergeWithEmptyIsIdentity) {
 
 TEST(MetricsRegistryTest, HandlesAreStableAcrossReset) {
   MetricsRegistry registry;
-  Counter* c = registry.counter("a/count");
-  Gauge* g = registry.gauge("a/gauge");
-  Histogram* h = registry.histogram("a/hist");
-  c->Add(5);
-  g->Set(9);
-  h->Record(0.1);
+  Histogram* a = registry.histogram("a/seconds");
+  Histogram* b = registry.histogram("b/seconds");
+  a->Record(0.1);
+  b->Record(0.2);
+  b->Record(0.3);
   registry.ResetValues();
   // Same pointers, zeroed contents.
-  EXPECT_EQ(registry.counter("a/count"), c);
-  EXPECT_EQ(registry.gauge("a/gauge"), g);
-  EXPECT_EQ(registry.histogram("a/hist"), h);
-  EXPECT_EQ(c->value(), 0);
-  EXPECT_EQ(g->value(), 0);
-  EXPECT_EQ(h->Stats().count, 0);
+  EXPECT_EQ(registry.histogram("a/seconds"), a);
+  EXPECT_EQ(registry.histogram("b/seconds"), b);
+  EXPECT_EQ(a->Stats().count, 0);
+  EXPECT_EQ(b->Stats().count, 0);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   MetricsRegistry registry;
-  registry.counter("z")->Add(1);
-  registry.counter("a")->Add(2);
-  registry.counter("m")->Add(3);
+  registry.histogram("z")->Record(0.1);
+  registry.histogram("a")->Record(0.2);
+  registry.histogram("m")->Record(0.3);
   const MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.counters.size(), 3u);
-  EXPECT_EQ(snapshot.counters[0].first, "a");
-  EXPECT_EQ(snapshot.counters[1].first, "m");
-  EXPECT_EQ(snapshot.counters[2].first, "z");
+  ASSERT_EQ(snapshot.histograms.size(), 3u);
+  EXPECT_EQ(snapshot.histograms[0].first, "a");
+  EXPECT_EQ(snapshot.histograms[1].first, "m");
+  EXPECT_EQ(snapshot.histograms[2].first, "z");
+  EXPECT_DOUBLE_EQ(snapshot.histograms[0].second.sum, 0.2);
 }
 
 TEST(MetricsRegistryTest, AggregateHistogramsMergesShardInstances) {
@@ -207,29 +186,6 @@ TEST(MetricsRegistryTest, DisabledByDefault) {
   EXPECT_FALSE(registry.enabled());
   registry.set_enabled(true);
   EXPECT_TRUE(registry.enabled());
-}
-
-TEST(MetricsRegistryTest, SnapshotJsonParsesBack) {
-  MetricsRegistry registry;
-  registry.counter("c/bytes")->Add(128);
-  registry.gauge("g/resident")->Set(7);
-  registry.histogram("h/seconds")->Record(0.25);
-  registry.histogram("h/empty_seconds");
-  const std::string json = SnapshotToJson(registry.Snapshot());
-  auto doc = ParseJson(json);
-  ASSERT_TRUE(doc.ok()) << doc.status().message();
-  const JsonValue& value = doc.ValueOrDie();
-  EXPECT_EQ(value.Find("counters")->Find("c/bytes")->number, 128.0);
-  EXPECT_EQ(value.Find("gauges")->Find("g/resident")->number, 7.0);
-  const JsonValue* hist = value.Find("histograms")->Find("h/seconds");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->Find("count")->number, 1.0);
-  EXPECT_EQ(hist->Find("p50_seconds")->number, 0.25);
-  // Empty histogram percentiles serialize as null (JSON has no NaN).
-  EXPECT_TRUE(value.Find("histograms")
-                  ->Find("h/empty_seconds")
-                  ->Find("p50_seconds")
-                  ->is_null());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// The zero-perturbation contract: the obs rail only *reads* clocks and
-// bumps counters, so enabling metrics, the trace recorder, and the
-// round-trace writer must leave the training trajectory bitwise identical
-// to a run with everything off. Mirrors the idiom of
-// tests/fl/deterministic_replay_test.cc.
+// The zero-perturbation contract: the obs rail only *reads* clocks, so
+// enabling metrics, the trace recorder, and the round trace must leave the
+// training trajectory bitwise identical to a run with everything off.
+// Mirrors the idiom of tests/fl/deterministic_replay_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "core/fedadmm.h"
+#include "fl/history_csv.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -123,32 +123,28 @@ TEST(ObsEquivalenceTest, TraceRecorderIsBitwiseInvisible) {
 TEST(ObsEquivalenceTest, RoundTraceIsBitwiseInvisibleAndParses) {
   const std::vector<float> baseline = RunTheta(7, 3, 8);
 
-  const std::string path = testing::TempDir() + "/obs_equiv_rounds.jsonl";
+  const std::string path = testing::TempDir() + "/obs_equiv_rounds.csv";
   SimulationConfig config;
   config.round_trace_path = path;
   const std::vector<float> traced = RunTheta(7, 3, 8, config);
   EXPECT_EQ(baseline, traced);
 
-  std::ifstream in(path);
-  std::string line;
-  int rounds = 0;
-  while (std::getline(in, line)) {
-    auto doc = obs::ParseJson(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    const obs::JsonValue& record = doc.ValueOrDie();
-    EXPECT_EQ(record.Find("round")->number, rounds);
-    ASSERT_NE(record.Find("num_selected"), nullptr);
-    ASSERT_NE(record.Find("upload_bytes"), nullptr);
-    ASSERT_NE(record.Find("wall_seconds"), nullptr);
-    ++rounds;
+  // The trace is the history CSV, one row per record.
+  auto trace = ReadHistoryCsv(path);
+  ASSERT_TRUE(trace.ok()) << trace.status().message();
+  ASSERT_EQ(trace.ValueOrDie().size(), 8);
+  int round = 0;
+  for (const RoundRecord& record : trace.ValueOrDie().records()) {
+    EXPECT_EQ(record.round, round++);
+    EXPECT_EQ(record.num_selected, 6);
+    EXPECT_GT(record.upload_bytes, 0);
   }
-  EXPECT_EQ(rounds, 8);
   std::remove(path.c_str());
 }
 
 TEST(ObsEquivalenceTest, DeterministicOnlyTraceIsByteIdenticalAcrossRuns) {
-  const std::string path_a = testing::TempDir() + "/obs_equiv_det_a.jsonl";
-  const std::string path_b = testing::TempDir() + "/obs_equiv_det_b.jsonl";
+  const std::string path_a = testing::TempDir() + "/obs_equiv_det_a.csv";
+  const std::string path_b = testing::TempDir() + "/obs_equiv_det_b.csv";
   SimulationConfig config;
   config.round_trace_deterministic_only = true;
 
@@ -163,16 +159,35 @@ TEST(ObsEquivalenceTest, DeterministicOnlyTraceIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(trace_a, ReadAll(path_b))
       << "deterministic_only traces must be byte-identical for one seed";
 
-  // Wall fields are zeroed, deterministic fields are not.
-  std::istringstream lines(trace_a);
-  std::string line;
-  while (std::getline(lines, line)) {
-    auto doc = obs::ParseJson(line);
-    ASSERT_TRUE(doc.ok());
-    EXPECT_EQ(doc.ValueOrDie().Find("wall_seconds")->number, 0.0);
+  // Wall seconds are zeroed, deterministic fields are not.
+  auto trace = ReadHistoryCsv(path_a);
+  ASSERT_TRUE(trace.ok()) << trace.status().message();
+  ASSERT_EQ(trace.ValueOrDie().size(), 8);
+  int round = 0;
+  for (const RoundRecord& record : trace.ValueOrDie().records()) {
+    EXPECT_EQ(record.round, round++);
+    EXPECT_EQ(record.wall_seconds, 0.0);
+    EXPECT_GT(record.upload_bytes, 0);
   }
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+TEST(ObsEquivalenceTest, UnwritableRoundTracePathFailsBeforeRoundZero) {
+  QuadraticProblem problem(Spec());
+  FedAdmm algo(Options());
+  UniformFractionSelector selector(12, 0.5);
+  SimulationConfig config;
+  config.max_rounds = 3;
+  config.round_trace_path =
+      testing::TempDir() + "/obs_equiv_missing_dir/rounds.csv";
+  Simulation sim(&problem, &algo, &selector, config);
+  int rounds = 0;
+  sim.set_observer([&rounds](const RoundRecord&) { ++rounds; });
+  const Result<History> result = sim.Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+  EXPECT_EQ(rounds, 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tracing: TraceScope activation rules, the bounded chrome://tracing
-// recorder, and the JSONL round-trace writer.
+// Tracing: TraceScope activation rules and the bounded chrome://tracing
+// recorder.
 
 #include "obs/trace.h"
 
@@ -30,14 +30,6 @@ TEST(TraceScopeTest, InactiveWithoutAnySink) {
   ASSERT_FALSE(MetricsRegistry::Global().enabled());
   ASSERT_FALSE(TraceRecorder::Global().enabled());
   TraceScope scope("noop", "test");
-  EXPECT_EQ(scope.Stop(), 0.0);
-}
-
-TEST(TraceScopeTest, ForceTimingMeasuresWithoutSinks) {
-  TraceScope scope("forced", "test", nullptr, /*force_timing=*/true);
-  const double seconds = scope.Stop();
-  EXPECT_GE(seconds, 0.0);
-  // Stop is idempotent: the second call reports the scope inactive.
   EXPECT_EQ(scope.Stop(), 0.0);
 }
 
@@ -127,45 +119,6 @@ TEST(TraceRecorderTest, StartClearsPreviousCapture) {
   recorder.Start();
   recorder.Stop();
   EXPECT_EQ(recorder.size(), 0u);
-}
-
-TEST(RoundTraceWriterTest, AppendsJsonlLines) {
-  const std::string path = TempPath("round_trace_test.jsonl");
-  RoundTraceWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  EXPECT_TRUE(writer.is_open());
-  EXPECT_FALSE(writer.deterministic_only());
-  ASSERT_TRUE(writer.Append("{\"round\":0}").ok());
-  ASSERT_TRUE(writer.Append("{\"round\":1}").ok());
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_FALSE(writer.is_open());
-
-  std::ifstream in(path);
-  std::string line;
-  int rounds = 0;
-  while (std::getline(in, line)) {
-    auto doc = ParseJson(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    EXPECT_EQ(doc.ValueOrDie().Find("round")->number, rounds);
-    ++rounds;
-  }
-  EXPECT_EQ(rounds, 2);
-  std::remove(path.c_str());
-}
-
-TEST(RoundTraceWriterTest, DeterministicOnlyFlagSticks) {
-  const std::string path = TempPath("round_trace_det.jsonl");
-  RoundTraceWriter writer;
-  ASSERT_TRUE(writer.Open(path, /*deterministic_only=*/true).ok());
-  EXPECT_TRUE(writer.deterministic_only());
-  ASSERT_TRUE(writer.Close().ok());
-  std::remove(path.c_str());
-}
-
-TEST(RoundTraceWriterTest, OpenFailsOnBadPath) {
-  RoundTraceWriter writer;
-  EXPECT_FALSE(writer.Open("/nonexistent-dir-xyz/trace.jsonl").ok());
-  EXPECT_FALSE(writer.is_open());
 }
 
 }  // namespace

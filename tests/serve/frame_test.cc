@@ -100,7 +100,6 @@ TEST(FrameBuildTest, UpdateRoundTripViewsPointIntoFrame) {
   meta.epochs_run = 5;
   meta.steps_run = 250;
   meta.train_loss = 0.125;
-  meta.final_grad_norm_sq = 1e-6;
   const std::vector<uint8_t> p1 = {10, 11, 12, 13};
   const std::vector<uint8_t> p2 = {20, 21};
   meta.dim1 = 1;
@@ -123,7 +122,6 @@ TEST(FrameBuildTest, UpdateRoundTripViewsPointIntoFrame) {
   EXPECT_EQ(body.header.epochs_run, 5u);
   EXPECT_EQ(body.header.steps_run, 250u);
   EXPECT_EQ(body.header.train_loss, 0.125);
-  EXPECT_EQ(body.header.final_grad_norm_sq, 1e-6);
   ASSERT_EQ(body.header.payload1_len, p1.size());
   ASSERT_EQ(body.header.payload2_len, p2.size());
   // Zero-copy: the parsed payload views must point into the frame itself.
@@ -232,6 +230,26 @@ TEST(FrameHeaderTest, RejectsBadMagicVersionTypeAndOversizedBody) {
       ParseFrameHeader(frame.data(), kFrameHeaderBytes - 1, &header).ok());
 }
 
+TEST(FrameHeaderTest, RejectsVersionOneFrames) {
+  // Version 1 carried an extra f64 in every UPDATE body; a version-1 peer
+  // must get a version error, never a misparsed update.
+  UpdateFrameHeader meta;
+  meta.dim1 = 1;
+  const std::vector<uint8_t> p1 = {1, 2, 3, 4};
+  meta.payload1_len = 4;
+  std::vector<uint8_t> frame = BuildUpdateFrame(1, meta, p1.data(), nullptr);
+  EXPECT_EQ(frame[4], kProtocolVersion);
+  frame[4] = 1;  // version
+  FrameHeader header;
+  const Status status = ParseFrameHeader(frame.data(), frame.size(), &header);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("version"), std::string::npos)
+      << status.message();
+
+  FrameAssembler assembler;
+  EXPECT_FALSE(assembler.Push(frame.data(), frame.size()).ok());
+}
+
 TEST(FrameBodyParserTest, RejectTruncationAndTrailingBytes) {
   const std::vector<uint8_t> frame = BuildAckFrame(AckBody{});
   const FrameHeader header = MustParseHeader(frame);
@@ -255,7 +273,7 @@ TEST(FrameBodyParserTest, RejectTruncationAndTrailingBytes) {
   std::vector<uint8_t> body(update.begin() + kFrameHeaderBytes, update.end());
   // Lie: payload1_len = 5 with only 4 payload bytes present.
   const uint32_t five = 5;
-  std::memcpy(body.data() + 36, &five, sizeof(five));
+  std::memcpy(body.data() + 28, &five, sizeof(five));
   UpdateBody parsed;
   EXPECT_FALSE(ParseUpdateBody(body.data(), body.size(), &parsed).ok());
 }

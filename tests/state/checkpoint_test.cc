@@ -26,6 +26,8 @@
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
+#include "state/checkpoint.h"
+#include "state/slab_log.h"
 #include "sys/event_queue.h"
 #include "sys/system_model.h"
 #include "util/file_io.h"
@@ -473,6 +475,33 @@ TEST(CheckpointTest, CheckpointFromLargerFleetIsRejected) {
   }
 }
 
+TEST(CheckpointTest, OlderEventFormatTagIsRejected) {
+  // Event blobs from before completion events dropped their gradient norm
+  // carry mode tag 2. Restoring one must fail at the tag, before any event
+  // is decoded under the current encoding.
+  const std::string path = TempPath("ckpt_old_event_tag.slab");
+  RemoveFileIfExists(path);
+  auto writer = MakeAlgo("FedADMM");
+  ASSERT_TRUE(RunBufferedFleet(writer.get(), kClients, path, false).ok());
+  const SimulationCheckpoint latest =
+      LoadLatestSimulationCheckpoint(path).ValueOrDie();
+  std::string blob = latest.engine_blob;
+  ASSERT_FALSE(blob.empty());
+  blob[0] = 2;
+  {
+    auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+    const Status appended =
+        AppendSimulationCheckpoint(log.get(), latest.round, blob, nullptr);
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+  }
+  auto reader = MakeAlgo("FedADMM");
+  const Status status = RunBufferedFleet(reader.get(), kClients, path, true);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("checkpoint format"), std::string::npos)
+      << status.message();
+  RemoveFileIfExists(path);
+}
+
 TEST(CheckpointTest, CodecRunsRejectCheckpointing) {
   // Error-feedback residuals are not serialized: checkpoint + codec must
   // fail fast, not silently produce a non-replayable file.
@@ -526,7 +555,6 @@ TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   event.message.train_loss = 0.625;
   event.message.epochs_run = 2;
   event.message.steps_run = 9;
-  event.message.final_grad_norm_sq = 0.03125;
   event.message.wire_bytes = 77;
 
   ByteWriter writer;
@@ -555,8 +583,6 @@ TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   EXPECT_EQ(decoded.message.train_loss, event.message.train_loss);
   EXPECT_EQ(decoded.message.epochs_run, event.message.epochs_run);
   EXPECT_EQ(decoded.message.steps_run, event.message.steps_run);
-  EXPECT_EQ(decoded.message.final_grad_norm_sq,
-            event.message.final_grad_norm_sq);
   EXPECT_EQ(decoded.message.wire_bytes, event.message.wire_bytes);
 }
 
