@@ -1,13 +1,14 @@
 /// \file wire.h
-/// \brief Byte-level primitives for codec wire formats.
+/// \brief The one little-endian byte codec, for disk and network alike.
 ///
-/// Every codec serializes to little-endian bytes through these helpers so
-/// `WireBytes()` accounting is exact by construction and payloads are
-/// portable across hosts of the same endianness class. `Writer` appends;
-/// `ReaderView` is the one parser. It returns Status on truncation instead
-/// of aborting, so the same decoder serves in-process payloads and bytes
-/// that crossed a process/network boundary (src/serve), where a malformed
-/// frame is an input, not a bug.
+/// Every codec payload, serve frame and checkpoint blob (the engine state,
+/// its completion events and the algorithm extras) is written with
+/// `Writer` and parsed with `ReaderView`, so `WireBytes()` accounting is
+/// exact by construction and the bytes are portable across hosts of the
+/// same endianness class. `ReaderView` returns Status on truncation
+/// instead of aborting, so the same decoder serves in-process payloads,
+/// bytes that crossed a process/network boundary (src/serve) and bytes read
+/// back from disk, where a malformed input is an input, not a bug.
 ///
 /// On little-endian hosts the fixed-width paths are single memcpys (the
 /// per-byte shift loops remain as the big-endian fallback and the byte
@@ -19,6 +20,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -84,6 +88,24 @@ class Writer {
     PutU64(bits);
   }
 
+  /// A u64 byte count, then the bytes.
+  void PutString(std::string_view s) {
+    PutU64(s.size());
+    out_->insert(out_->end(), s.begin(), s.end());
+  }
+
+  /// A u64 float count, then the fp32 bit patterns.
+  void PutFloats(std::span<const float> v) {
+    PutU64(v.size());
+    if constexpr (kHostIsLittleEndian) {
+      if (!v.empty()) {
+        std::memcpy(Extend(v.size_bytes()), v.data(), v.size_bytes());
+      }
+    } else {
+      for (const float x : v) PutF32(x);
+    }
+  }
+
   /// Appends `n` uninitialized-content (zeroed) bytes and returns a pointer
   /// to them, for block writers (e.g. SIMD bit packing) that produce whole
   /// regions at once. The pointer is invalidated by any further append.
@@ -108,6 +130,10 @@ class ReaderView {
   ReaderView(const uint8_t* data, size_t len) : data_(data), len_(len) {
     FEDADMM_CHECK(data != nullptr || len == 0);
   }
+  /// Parses the bytes of a string (checkpoint blobs travel as strings).
+  explicit ReaderView(std::string_view bytes)
+      : ReaderView(reinterpret_cast<const uint8_t*>(bytes.data()),
+                   bytes.size()) {}
 
   Status TryU8(uint8_t* out) {
     if (pos_ + 1 > len_) return Truncated();
@@ -167,6 +193,33 @@ class ReaderView {
     uint64_t bits = 0;
     FEDADMM_RETURN_IF_ERROR(TryU64(&bits));
     std::memcpy(out, &bits, sizeof(*out));
+    return Status::OK();
+  }
+
+  /// `Writer::PutString`'s layout.
+  Status TryString(std::string* out) {
+    uint64_t len = 0;
+    FEDADMM_RETURN_IF_ERROR(TryU64(&len));
+    if (len > remaining()) return Truncated();
+    out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    pos_ += len;
+    return Status::OK();
+  }
+
+  /// `Writer::PutFloats`' layout.
+  Status TryFloats(std::vector<float>* out) {
+    uint64_t count = 0;
+    FEDADMM_RETURN_IF_ERROR(TryU64(&count));
+    // Divide, not multiply: a crafted count must not wrap the bound.
+    if (count > remaining() / sizeof(float)) return Truncated();
+    out->resize(count);
+    if constexpr (kHostIsLittleEndian) {
+      const size_t bytes = count * sizeof(float);
+      if (bytes != 0) std::memcpy(out->data(), data_ + pos_, bytes);
+      pos_ += bytes;
+    } else {
+      for (float& x : *out) FEDADMM_RETURN_IF_ERROR(TryF32(&x));
+    }
     return Status::OK();
   }
 

@@ -1,7 +1,7 @@
 #include "fl/algorithms/fedpd.h"
 
+#include "comm/wire.h"
 #include "tensor/vec.h"
-#include "util/file_io.h"
 
 namespace fedadmm {
 
@@ -98,22 +98,26 @@ std::string FedPd::SerializeExtraState() const {
   // The coin stream decides *future* aggregation rounds: without it a
   // restored run would re-seed and draw a different communication
   // schedule than the uninterrupted one.
-  ByteWriter writer;
-  writer.String(coin_rng_.SerializeState());
-  writer.U32(static_cast<uint32_t>(comm_rounds_));
-  writer.U8(communicate_this_round_ ? 1 : 0);
-  return writer.Take();
+  std::vector<uint8_t> bytes;
+  wire::Writer writer(&bytes);
+  writer.PutString(coin_rng_.SerializeState());
+  writer.PutU32(static_cast<uint32_t>(comm_rounds_));
+  writer.PutU8(communicate_this_round_ ? 1 : 0);
+  return std::string(bytes.begin(), bytes.end());
 }
 
 Status FedPd::RestoreExtraState(const std::string& blob) {
-  ByteReader reader(blob);
-  FEDADMM_ASSIGN_OR_RETURN(std::string coin_state, reader.String());
+  wire::ReaderView reader(blob);
+  std::string coin_state;
+  uint32_t comm_rounds = 0;
+  uint8_t communicate = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryString(&coin_state));
   FEDADMM_RETURN_IF_ERROR(coin_rng_.RestoreState(coin_state));
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t comm_rounds, reader.U32());
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&comm_rounds));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU8(&communicate));
   comm_rounds_ = static_cast<int>(comm_rounds);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t communicate, reader.U8());
   communicate_this_round_ = communicate != 0;
-  if (!reader.empty()) {
+  if (reader.remaining() != 0) {
     return Status::InvalidArgument(
         "FedPd::RestoreExtraState: trailing bytes in checkpoint blob");
   }

@@ -1,7 +1,7 @@
 #include "fl/algorithms/scaffold.h"
 
+#include "comm/wire.h"
 #include "tensor/vec.h"
-#include "util/file_io.h"
 
 namespace fedadmm {
 
@@ -93,15 +93,18 @@ int64_t Scaffold::StateBytesResident() const {
 }
 
 std::string Scaffold::SerializeExtraState() const {
-  ByteWriter writer;
-  writer.Floats(server_c_);
-  return writer.Take();
+  std::vector<uint8_t> bytes;
+  wire::Writer writer(&bytes);
+  writer.PutFloats(server_c_);
+  return std::string(bytes.begin(), bytes.end());
 }
 
 Status Scaffold::RestoreExtraState(const std::string& blob) {
-  ByteReader reader(blob);
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> server_c, reader.Floats());
-  if (static_cast<int64_t>(server_c.size()) != dim_ || !reader.empty()) {
+  wire::ReaderView reader(blob);
+  std::vector<float> server_c;
+  FEDADMM_RETURN_IF_ERROR(reader.TryFloats(&server_c));
+  if (static_cast<int64_t>(server_c.size()) != dim_ ||
+      reader.remaining() != 0) {
     return Status::InvalidArgument(
         "Scaffold::RestoreExtraState: server control blob does not match "
         "dim " +

@@ -7,13 +7,13 @@
 #include <string>
 #include <utility>
 
+#include "comm/wire.h"
 #include "fl/history_csv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/checkpoint.h"
 #include "state/client_state_store.h"
 #include "state/slab_log.h"
-#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -71,30 +71,31 @@ EngineMetrics& Metrics() {
 }
 
 // Checkpoint ints (counts, ids, counters; all non-negative) travel as u32.
-void WriteInt(int v, ByteWriter* w) { w->U32(static_cast<uint32_t>(v)); }
+void WriteInt(int v, wire::Writer* w) { w->PutU32(static_cast<uint32_t>(v)); }
 
-Status ReadInt(ByteReader* reader, int* out) {
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t v, reader->U32());
+Status ReadInt(wire::ReaderView* reader, int* out) {
+  uint32_t v = 0;
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&v));
   *out = static_cast<int>(v);
   return Status::OK();
 }
 
 // Records ride as canonical history-CSV fields, which round-trip bitwise.
-void WriteHistoryBlob(const History& history, ByteWriter* w) {
+void WriteHistoryBlob(const History& history, wire::Writer* w) {
   WriteInt(history.size(), w);
   for (const RoundRecord& record : history.records()) {
-    for (const std::string& field : RoundCsvRow(record)) w->String(field);
+    for (const std::string& field : RoundCsvRow(record)) w->PutString(field);
   }
 }
 
-Result<History> ReadHistoryBlob(ByteReader* reader) {
+Result<History> ReadHistoryBlob(wire::ReaderView* reader) {
   History history;
   int count = 0;
   FEDADMM_RETURN_IF_ERROR(ReadInt(reader, &count));
   std::vector<std::string> fields(RoundCsvColumns().size());
   for (int i = 0; i < count; ++i) {
     for (std::string& field : fields) {
-      FEDADMM_ASSIGN_OR_RETURN(field, reader->String());
+      FEDADMM_RETURN_IF_ERROR(reader->TryString(&field));
     }
     FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, RoundFromCsvRow(fields));
     history.Add(record);
@@ -238,7 +239,13 @@ Result<History> ServerLoop::RunLoop() {
         checkpoint_log,
         SlabLog::Open(config_.checkpoint_path, /*truncate=*/false));
     if (config_.restore_from_checkpoint) {
-      FEDADMM_ASSIGN_OR_RETURN(restored, TryRestore(&history));
+      FEDADMM_ASSIGN_OR_RETURN(restored,
+                               TryRestore(*checkpoint_log, &history));
+      // A run stopped at its target restores as finished.
+      if (restored && !history.empty() &&
+          ReachedTarget(history.records().back())) {
+        return history;
+      }
     }
   }
   if (!sync() && !restored) {
@@ -494,21 +501,28 @@ bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
     }
   }
   if (observer_ && *observer_) (*observer_)(record);
-  return evaluate && config_.target_accuracy > 0.0 &&
+  return ReachedTarget(record);
+}
+
+bool ServerLoop::ReachedTarget(const RoundRecord& record) const {
+  // A record that skipped evaluation holds NaN, which compares false.
+  return config_.target_accuracy > 0.0 &&
          record.test_accuracy >= config_.target_accuracy;
 }
 
 Status ServerLoop::WriteCheckpoint(SlabLog* log, const History& history) {
-  ByteWriter w;
-  w.U8(sync() ? kCheckpointSyncTag : kCheckpointEventTag);
-  w.Floats(theta_);
-  w.String(selection_rng_.SerializeState());
-  w.String(algorithm_->SerializeExtraState());
+  std::vector<uint8_t> blob;
+  wire::Writer w(&blob);
+  w.PutU8(sync() ? kCheckpointSyncTag : kCheckpointEventTag);
+  w.PutFloats(theta_);
+  w.PutString(selection_rng_.SerializeState());
+  w.PutString(algorithm_->SerializeExtraState());
   WriteHistoryBlob(history, &w);
-  w.F64(now_);
-  w.I64(sequence_);
-  w.I64(pending_download_bytes_);
-  w.I64(pending_download_bytes_raw_);
+  w.PutF64(now_);
+  for (const int64_t v : {sequence_, pending_download_bytes_,
+                          pending_download_bytes_raw_}) {
+    w.PutU64(static_cast<uint64_t>(v));
+  }
   for (const int v : {wave_counter_, server_version_, concurrency_,
                       pending_dropped_, pending_partial_,
                       drops_since_aggregate_}) {
@@ -525,38 +539,42 @@ Status ServerLoop::WriteCheckpoint(SlabLog* log, const History& history) {
   // The RNG is already past sync's pre-drawn cohort: it rides along.
   WriteInt(static_cast<int>(next_cohort_.size()), &w);
   for (const int client : next_cohort_) WriteInt(client, &w);
-  return AppendSimulationCheckpoint(log, history.size(), w.Take(),
-                                    algorithm_->mutable_state_store());
+  return AppendSimulationCheckpoint(
+      log, history.size(), std::string(blob.begin(), blob.end()),
+      algorithm_->mutable_state_store());
 }
 
-Result<bool> ServerLoop::TryRestore(History* history) {
-  auto loaded = LoadLatestSimulationCheckpoint(config_.checkpoint_path);
+Result<bool> ServerLoop::TryRestore(const SlabLog& log, History* history) {
+  auto loaded = LoadLatestSimulationCheckpoint(log);
   if (!loaded.ok()) {
-    // Missing file, no committed group, or an unreadable one: start fresh
-    // — the crash-before-first-checkpoint semantic.
+    // No committed group, or an unreadable one: start fresh — the
+    // crash-before-first-checkpoint semantic.
     if (loaded.status().IsNotFound() || loaded.status().IsIoError()) {
       return {false};
     }
     return loaded.status();
   }
   const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
-  ByteReader r(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
+  wire::ReaderView r(checkpoint.engine_blob);
+  uint8_t tag = 0;
+  FEDADMM_RETURN_IF_ERROR(r.TryU8(&tag));
   if (tag != (sync() ? kCheckpointSyncTag : kCheckpointEventTag)) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
         "' was written by a different execution mode or checkpoint format");
   }
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, r.Floats());
+  std::vector<float> theta;
+  FEDADMM_RETURN_IF_ERROR(r.TryFloats(&theta));
   if (theta.size() != theta_.size()) {
     return Status::InvalidArgument(
         "Simulation: checkpoint θ dim " + std::to_string(theta.size()) +
         " != problem dim " + std::to_string(theta_.size()));
   }
   theta_ = std::move(theta);
-  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, r.String());
+  std::string rng_state, extra;
+  FEDADMM_RETURN_IF_ERROR(r.TryString(&rng_state));
   FEDADMM_RETURN_IF_ERROR(selection_rng_.RestoreState(rng_state));
-  FEDADMM_ASSIGN_OR_RETURN(std::string extra, r.String());
+  FEDADMM_RETURN_IF_ERROR(r.TryString(&extra));
   FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
   FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&r));
   // Restored client ids index this run's per-client arrays, so a
@@ -571,10 +589,13 @@ Result<bool> ServerLoop::TryRestore(History* history) {
         std::to_string(client + 1) + " clients; this run has " +
         std::to_string(num_clients) + " clients");
   };
-  FEDADMM_ASSIGN_OR_RETURN(now_, r.F64());
-  FEDADMM_ASSIGN_OR_RETURN(sequence_, r.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, r.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_raw_, r.I64());
+  FEDADMM_RETURN_IF_ERROR(r.TryF64(&now_));
+  for (int64_t* v : {&sequence_, &pending_download_bytes_,
+                     &pending_download_bytes_raw_}) {
+    uint64_t bits = 0;
+    FEDADMM_RETURN_IF_ERROR(r.TryU64(&bits));
+    *v = static_cast<int64_t>(bits);
+  }
   for (int* v : {&wave_counter_, &server_version_, &concurrency_,
                  &pending_dropped_, &pending_partial_,
                  &drops_since_aggregate_}) {
@@ -604,7 +625,7 @@ Result<bool> ServerLoop::TryRestore(History* history) {
     next_cohort_.push_back(client);
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {
-    FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
+    FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(log, checkpoint, store));
   }
   return {true};
 }

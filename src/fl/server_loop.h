@@ -111,22 +111,26 @@ class ServerLoop {
 
   /// Evaluates on the eval_every cadence (NaN sentinels otherwise),
   /// stamps wall seconds, appends to `history` and to the opt-in round
-  /// trace, and notifies the observer. Returns true when the record's
-  /// evaluated accuracy reached the configured target (caller stops).
-  /// `watch` is restarted.
+  /// trace, and notifies the observer. Returns `ReachedTarget(record)`
+  /// (caller stops). `watch` is restarted.
   bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
                       History* history);
+
+  /// True when the record's evaluated accuracy reached the configured
+  /// target: the run stops there, and a restore of it does not resume.
+  bool ReachedTarget(const RoundRecord& record) const;
 
   /// Appends one committed checkpoint group: a mode tag, θ, the selection
   /// RNG, algorithm extras, `history`, the loop state below (event queue
   /// and aggregation buffer included), and every touched store slab.
   Status WriteCheckpoint(SlabLog* log, const History& history);
 
-  /// Restores from the newest committed group. Returns false (nothing
-  /// touched) when no committed group exists — the fresh start; errors
-  /// on a malformed group, or one written by the other kind of mode or in
-  /// an older event-checkpoint format.
-  Result<bool> TryRestore(History* history);
+  /// Restores from the newest committed group of the open checkpoint
+  /// `log`, reading its store slabs straight into the store. Returns false
+  /// (nothing touched) when no committed group exists — the fresh start;
+  /// errors on a malformed group, or one written by the other kind of mode
+  /// or in an older event-checkpoint format.
+  Result<bool> TryRestore(const SlabLog& log, History* history);
 
   bool sync() const { return config_.mode == ExecutionMode::kSync; }
 

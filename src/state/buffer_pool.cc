@@ -65,23 +65,6 @@ void BufferPool::Unpin(uint64_t key, bool dirty) {
   TrimOverflow();
 }
 
-void BufferPool::Evict(uint64_t key) {
-  const auto it = map_.find(key);
-  if (it == map_.end() || frames_[it->second]->pinned) return;
-  const size_t index = it->second;
-  EvictIndex(index);
-  FreeFrame(index);
-}
-
-void BufferPool::Clear() {
-  frames_.clear();
-  free_.clear();
-  map_.clear();
-  clock_hand_ = 0;
-  resident_frames_ = 0;
-  evictions_ = write_backs_ = 0;
-}
-
 size_t BufferPool::AcquireFrame() {
   // At capacity a miss swaps out a victim. The pool grows past capacity
   // only when every frame is pinned (an overflow frame; Unpin trims it).

@@ -77,12 +77,6 @@ class BufferPool {
   /// into the frame's dirty bit. Trims overflow frames back to capacity.
   void Unpin(uint64_t key, bool dirty);
 
-  /// Evicts `key` immediately if resident and unpinned (write-back applies).
-  void Evict(uint64_t key);
-
-  /// Drops every frame and counter (Configure-time wipe). No write-back.
-  void Clear();
-
   /// Frames currently holding a slab (<= capacity once no overflow pins
   /// are outstanding).
   int64_t resident_frames() const { return resident_frames_; }
@@ -94,8 +88,8 @@ class BufferPool {
   /// `resident_frames × frame_bytes` — the store's byte accounting.
   int64_t resident_bytes() const { return resident_frames_ * frame_bytes(); }
 
-  // Lifetime counters (reset by Clear). Hits and misses are the caller's
-  // to count from `Pin`'s `hit` flag.
+  // Lifetime counters. Hits and misses are the caller's to count from
+  // `Pin`'s `hit` flag.
   int64_t evictions() const { return evictions_; }
   int64_t write_backs() const { return write_backs_; }
 

@@ -1,6 +1,6 @@
 #include "state/checkpoint.h"
 
-#include <cstring>
+#include <memory>
 #include <utility>
 
 namespace fedadmm {
@@ -32,16 +32,14 @@ Status AppendSimulationCheckpoint(SlabLog* log, int64_t round,
 }
 
 Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
-    const std::string& path) {
-  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> log,
-                           SlabLog::Open(path, /*truncate=*/false));
+    const SlabLog& log) {
   SimulationCheckpoint latest;
   bool have_latest = false;
   SimulationCheckpoint pending;
   bool in_group = false;
   bool group_ok = true;
   FEDADMM_RETURN_IF_ERROR(
-      log->Scan([&](const SlabLog::Record& record) {
+      log.Scan([&](const SlabLog::Record& record) {
            switch (record.type) {
              case SlabLog::RecordType::kMeta:
                pending = SimulationCheckpoint();
@@ -50,21 +48,17 @@ Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
                in_group = true;
                group_ok = true;
                break;
-             case SlabLog::RecordType::kSlab: {
+             case SlabLog::RecordType::kSlab:
                if (!in_group) break;
                if (record.payload.size() % sizeof(float) != 0) {
                  group_ok = false;
                  break;
                }
-               SimulationCheckpoint::Slab slab;
-               slab.client = record.client;
-               slab.slot = record.slot;
-               slab.value.resize(record.payload.size() / sizeof(float));
-               std::memcpy(slab.value.data(), record.payload.data(),
-                           record.payload.size());
-               pending.slabs.push_back(std::move(slab));
+               pending.slabs.push_back(
+                   {record.client, record.slot, record.offset,
+                    static_cast<int64_t>(record.payload.size() /
+                                         sizeof(float))});
                break;
-             }
              case SlabLog::RecordType::kCommit:
                if (in_group && group_ok && record.value == pending.round) {
                  latest = std::move(pending);
@@ -78,15 +72,22 @@ Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
   if (!have_latest) {
     return Status::NotFound(
         "LoadLatestSimulationCheckpoint: no committed checkpoint group in '" +
-        path + "'");
+        log.path() + "'");
   }
   return {std::move(latest)};
 }
 
-Status RestoreStoreContents(const SimulationCheckpoint& checkpoint,
+Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
+    const std::string& path) {
+  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> log,
+                           SlabLog::Open(path, /*truncate=*/false));
+  return LoadLatestSimulationCheckpoint(*log);
+}
+
+Status RestoreStoreContents(const SlabLog& log,
+                            const SimulationCheckpoint& checkpoint,
                             ClientStateStore* store) {
   FEDADMM_CHECK_MSG(store != nullptr, "RestoreStoreContents: null store");
-  int previous_client = -1;
   for (const SimulationCheckpoint::Slab& slab : checkpoint.slabs) {
     if (slab.client < 0 || slab.client >= store->num_clients() ||
         slab.slot < 0 || slab.slot >= store->num_slots()) {
@@ -95,24 +96,27 @@ Status RestoreStoreContents(const SimulationCheckpoint& checkpoint,
           ", slot " + std::to_string(slab.slot) +
           ") outside the configured geometry");
     }
-    if (static_cast<int64_t>(slab.value.size()) !=
-        store->slot_dim(slab.slot)) {
+    if (slab.length != store->slot_dim(slab.slot)) {
       return Status::InvalidArgument(
           "RestoreStoreContents: slab (client " + std::to_string(slab.client) +
           ", slot " + std::to_string(slab.slot) + ") has dim " +
-          std::to_string(slab.value.size()) + ", store wants " +
+          std::to_string(slab.length) + ", store wants " +
           std::to_string(store->slot_dim(slab.slot)));
     }
+  }
+  int previous_client = -1;
+  Status status = Status::OK();
+  for (const SimulationCheckpoint::Slab& slab : checkpoint.slabs) {
     if (previous_client >= 0 && slab.client != previous_client) {
       store->Release(previous_client);
     }
-    std::span<float> view = store->MutableView(slab.client, slab.slot);
-    std::memcpy(view.data(), slab.value.data(),
-                slab.value.size() * sizeof(float));
     previous_client = slab.client;
+    status = log.ReadFloatsAt(slab.offset,
+                              store->MutableView(slab.client, slab.slot));
+    if (!status.ok()) break;
   }
   if (previous_client >= 0) store->Release(previous_client);
-  return Status::OK();
+  return status;
 }
 
 }  // namespace fedadmm

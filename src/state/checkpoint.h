@@ -17,8 +17,14 @@
 ///
 /// The engine blob is opaque here: `fl/server_loop.cc` packs whatever its
 /// mode needs (theta, RNG streams, history, algorithm extras, the event
-/// queue) with `util/file_io.h` and hands the bytes down. This layer owns
+/// queue) with `comm/wire.h` and hands the bytes down. This layer owns
 /// only the store contents and the commit protocol.
+///
+/// Restore reads the log that the run already holds open. Loading the
+/// newest group keeps only where each of its slabs sits in the log; each
+/// slab then goes from the log straight into the store, one positional
+/// read per slab, so beyond what the store itself holds a restore needs
+/// RAM only for those positions, not for the checkpointed state.
 
 #ifndef FEDADMM_STATE_CHECKPOINT_H_
 #define FEDADMM_STATE_CHECKPOINT_H_
@@ -40,13 +46,16 @@ struct SimulationCheckpoint {
   /// The engine's opaque state blob (the kMeta payload).
   std::string engine_blob;
 
-  /// One persisted store slab.
+  /// Where one persisted store slab sits in the log.
   struct Slab {
     int client = 0;
     int slot = 0;
-    std::vector<float> value;
+    /// File offset of the slab record (for `SlabLog::ReadFloatsAt`).
+    int64_t offset = 0;
+    /// Payload length in floats.
+    int64_t length = 0;
   };
-  /// Touched store contents in increasing (client, slot) order.
+  /// Touched store slabs in increasing (client, slot) order.
   std::vector<Slab> slabs;
 };
 
@@ -56,15 +65,24 @@ Status AppendSimulationCheckpoint(SlabLog* log, int64_t round,
                                   const std::string& engine_blob,
                                   const ClientStateStore* store);
 
-/// \brief Scans `path` and returns the newest complete group. NotFound
-/// when the file is missing, empty, or holds no committed group (torn or
-/// corrupt tails are silently skipped — that is the recovery semantic).
+/// \brief Scans `log` and returns the newest complete group. NotFound
+/// when the log holds no committed group (torn or corrupt tails are
+/// silently skipped — that is the recovery semantic).
+Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
+    const SlabLog& log);
+
+/// \brief Opens `path` and loads its newest complete group, as above;
+/// NotFound also when the file is missing or empty. The slab offsets refer
+/// to `path`.
 Result<SimulationCheckpoint> LoadLatestSimulationCheckpoint(
     const std::string& path);
 
-/// \brief Copies `checkpoint.slabs` into a Configure-d `store` (geometry
-/// must match: InvalidArgument on client/slot/dim out of range).
-Status RestoreStoreContents(const SimulationCheckpoint& checkpoint,
+/// \brief Reads `checkpoint.slabs` from `log`, the log it was loaded from,
+/// into a Configure-d `store`. Every slab's geometry is checked before the
+/// first is read, so a mismatch (InvalidArgument on client/slot/dim out of
+/// range) leaves the store untouched.
+Status RestoreStoreContents(const SlabLog& log,
+                            const SimulationCheckpoint& checkpoint,
                             ClientStateStore* store);
 
 }  // namespace fedadmm

@@ -8,9 +8,12 @@
 ///     (client, slot) → the offset this log returned;
 ///   * the simulation checkpoint (state/checkpoint.h) appends
 ///     meta + slab + commit record groups; recovery replays the last group
-///     whose commit landed.
+///     whose commit landed, reading its slabs back by offset.
 ///
-/// Record layout (all little-endian, `util/file_io.h` encoding):
+/// Record layout (all little-endian). The 37-byte header has its own
+/// encoder, which writes into a stack buffer rather than through
+/// `comm/wire.h`, because the tiered store's eviction path must not
+/// allocate:
 ///
 ///   u32 magic        'SLBG'
 ///   u8  type         1 = slab, 2 = meta, 3 = commit

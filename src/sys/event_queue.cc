@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/file_io.h"
+#include "comm/wire.h"
 #include "util/status.h"
 
 namespace fedadmm {
@@ -18,62 +18,68 @@ bool Later(const ClientCompletionEvent& a, const ClientCompletionEvent& b) {
 }  // namespace
 
 void SerializeClientCompletionEvent(const ClientCompletionEvent& event,
-                                    ByteWriter* writer) {
-  writer->F64(event.time);
-  writer->I64(event.sequence);
-  writer->U32(static_cast<uint32_t>(event.client_id));
-  writer->U32(static_cast<uint32_t>(event.wave));
-  writer->U32(static_cast<uint32_t>(event.theta_version));
-  writer->F64(event.timing.download_seconds);
-  writer->F64(event.timing.compute_seconds);
-  writer->F64(event.timing.upload_seconds);
-  writer->U8(static_cast<uint8_t>(event.decision.fate));
-  writer->F64(event.decision.work_fraction);
-  writer->F64(event.decision.finish_seconds);
-  writer->F64(event.decision.download_fraction);
-  writer->U32(static_cast<uint32_t>(event.message.client_id));
-  writer->Floats(event.message.delta);
-  writer->Floats(event.message.delta2);
-  writer->F64(event.message.train_loss);
-  writer->U32(static_cast<uint32_t>(event.message.epochs_run));
-  writer->U32(static_cast<uint32_t>(event.message.steps_run));
-  writer->I64(event.message.wire_bytes);
+                                    wire::Writer* writer) {
+  writer->PutF64(event.time);
+  writer->PutU64(static_cast<uint64_t>(event.sequence));
+  writer->PutU32(static_cast<uint32_t>(event.client_id));
+  writer->PutU32(static_cast<uint32_t>(event.wave));
+  writer->PutU32(static_cast<uint32_t>(event.theta_version));
+  writer->PutF64(event.timing.download_seconds);
+  writer->PutF64(event.timing.compute_seconds);
+  writer->PutF64(event.timing.upload_seconds);
+  writer->PutU8(static_cast<uint8_t>(event.decision.fate));
+  writer->PutF64(event.decision.work_fraction);
+  writer->PutF64(event.decision.finish_seconds);
+  writer->PutF64(event.decision.download_fraction);
+  writer->PutU32(static_cast<uint32_t>(event.message.client_id));
+  writer->PutFloats(event.message.delta);
+  writer->PutFloats(event.message.delta2);
+  writer->PutF64(event.message.train_loss);
+  writer->PutU32(static_cast<uint32_t>(event.message.epochs_run));
+  writer->PutU32(static_cast<uint32_t>(event.message.steps_run));
+  writer->PutU64(static_cast<uint64_t>(event.message.wire_bytes));
 }
 
 Result<ClientCompletionEvent> DeserializeClientCompletionEvent(
-    ByteReader* reader) {
+    wire::ReaderView* reader) {
   ClientCompletionEvent event;
-  FEDADMM_ASSIGN_OR_RETURN(event.time, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(event.sequence, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t client_id, reader->U32());
-  event.client_id = static_cast<int>(client_id);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t wave, reader->U32());
-  event.wave = static_cast<int>(wave);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t theta_version, reader->U32());
-  event.theta_version = static_cast<int>(theta_version);
-  FEDADMM_ASSIGN_OR_RETURN(event.timing.download_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(event.timing.compute_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(event.timing.upload_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t fate, reader->U8());
+  uint64_t sequence = 0, wire_bytes = 0;
+  uint32_t client_id = 0, wave = 0, theta_version = 0, message_client = 0,
+           epochs_run = 0, steps_run = 0;
+  uint8_t fate = 0;
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.time));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU64(&sequence));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&client_id));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&wave));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&theta_version));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.timing.download_seconds));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.timing.compute_seconds));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.timing.upload_seconds));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU8(&fate));
   if (fate > static_cast<uint8_t>(ClientFate::kDropped)) {
     return Status::InvalidArgument(
         "DeserializeClientCompletionEvent: bad ClientFate " +
         std::to_string(fate));
   }
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.decision.work_fraction));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.decision.finish_seconds));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.decision.download_fraction));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&message_client));
+  FEDADMM_RETURN_IF_ERROR(reader->TryFloats(&event.message.delta));
+  FEDADMM_RETURN_IF_ERROR(reader->TryFloats(&event.message.delta2));
+  FEDADMM_RETURN_IF_ERROR(reader->TryF64(&event.message.train_loss));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&epochs_run));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&steps_run));
+  FEDADMM_RETURN_IF_ERROR(reader->TryU64(&wire_bytes));
+  event.sequence = static_cast<int64_t>(sequence);
+  event.client_id = static_cast<int>(client_id);
+  event.wave = static_cast<int>(wave);
+  event.theta_version = static_cast<int>(theta_version);
   event.decision.fate = static_cast<ClientFate>(fate);
-  FEDADMM_ASSIGN_OR_RETURN(event.decision.work_fraction, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(event.decision.finish_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(event.decision.download_fraction, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t message_client, reader->U32());
   event.message.client_id = static_cast<int>(message_client);
-  FEDADMM_ASSIGN_OR_RETURN(event.message.delta, reader->Floats());
-  FEDADMM_ASSIGN_OR_RETURN(event.message.delta2, reader->Floats());
-  FEDADMM_ASSIGN_OR_RETURN(event.message.train_loss, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t epochs_run, reader->U32());
   event.message.epochs_run = static_cast<int>(epochs_run);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t steps_run, reader->U32());
   event.message.steps_run = static_cast<int>(steps_run);
-  FEDADMM_ASSIGN_OR_RETURN(event.message.wire_bytes, reader->I64());
+  event.message.wire_bytes = static_cast<int64_t>(wire_bytes);
   return {std::move(event)};
 }
 
@@ -105,11 +111,6 @@ ClientCompletionEvent EventQueue::Pop() {
   ClientCompletionEvent event = std::move(heap_.back());
   heap_.pop_back();
   return event;
-}
-
-const ClientCompletionEvent& EventQueue::Peek() const {
-  FEDADMM_CHECK_MSG(!heap_.empty(), "EventQueue: Peek on empty queue");
-  return heap_.front();
 }
 
 }  // namespace fedadmm

@@ -14,6 +14,9 @@
 /// Determinism: events are ordered by (time, sequence). `sequence` is the
 /// monotone dispatch counter, so ties between clients finishing at the same
 /// simulated instant resolve by dispatch order — never by host scheduling.
+///
+/// An event-mode checkpoint carries the queued events and the aggregation
+/// buffer, each event encoded field by field with `comm/wire.h`.
 
 #ifndef FEDADMM_SYS_EVENT_QUEUE_H_
 #define FEDADMM_SYS_EVENT_QUEUE_H_
@@ -29,8 +32,10 @@
 
 namespace fedadmm {
 
-class ByteReader;
-class ByteWriter;
+namespace wire {
+class ReaderView;
+class Writer;
+}  // namespace wire
 
 /// \brief One client's upload arriving (or being cut off) at the server.
 struct ClientCompletionEvent {
@@ -55,14 +60,13 @@ struct ClientCompletionEvent {
 };
 
 /// \brief Serializes every field of `event` (timing, decision, and the
-/// full update message) in the `util/file_io.h` encoding — the in-flight
-/// half of an event-mode checkpoint.
+/// full update message) — the in-flight half of an event-mode checkpoint.
 void SerializeClientCompletionEvent(const ClientCompletionEvent& event,
-                                    ByteWriter* writer);
+                                    wire::Writer* writer);
 
 /// \brief Inverse of `SerializeClientCompletionEvent`.
 Result<ClientCompletionEvent> DeserializeClientCompletionEvent(
-    ByteReader* reader);
+    wire::ReaderView* reader);
 
 /// \brief Builds a completion event: times the client's actual work via
 /// `ComputeClientTiming`, applies `policy` as the admission predicate, and
@@ -81,9 +85,6 @@ class EventQueue {
 
   /// Removes and returns the earliest event. CHECK-fails when empty.
   ClientCompletionEvent Pop();
-
-  /// The earliest event without removing it. CHECK-fails when empty.
-  const ClientCompletionEvent& Peek() const;
 
   bool empty() const { return heap_.empty(); }
   int size() const { return static_cast<int>(heap_.size()); }

@@ -106,104 +106,6 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void ByteWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::F64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void ByteWriter::Bytes(const void* data, size_t len) {
-  out_.append(static_cast<const char*>(data), len);
-}
-
-void ByteWriter::String(std::string_view s) {
-  U64(s.size());
-  Bytes(s.data(), s.size());
-}
-
-void ByteWriter::Floats(std::span<const float> v) {
-  U64(v.size());
-  Bytes(v.data(), v.size() * sizeof(float));
-}
-
-Result<uint8_t> ByteReader::U8() {
-  if (remaining() < 1) return Status::IoError("ByteReader: buffer exhausted");
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-Result<uint32_t> ByteReader::U32() {
-  uint32_t v = 0;
-  if (remaining() < 4) return Status::IoError("ByteReader: buffer exhausted");
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-Result<uint64_t> ByteReader::U64() {
-  uint64_t v = 0;
-  if (remaining() < 8) return Status::IoError("ByteReader: buffer exhausted");
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-Result<int64_t> ByteReader::I64() {
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t v, U64());
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ByteReader::F64() {
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t bits, U64());
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-Status ByteReader::Bytes(void* out, size_t len) {
-  if (remaining() < len) {
-    return Status::IoError("ByteReader: buffer exhausted");
-  }
-  // An empty vector's data() may be null, which memcpy must not receive.
-  if (len == 0) return Status::OK();
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
-  return Status::OK();
-}
-
-Result<std::string> ByteReader::String() {
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t len, U64());
-  if (remaining() < len) {
-    return Status::IoError("ByteReader: string length past buffer end");
-  }
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-Result<std::vector<float>> ByteReader::Floats() {
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t count, U64());
-  // Divide, not multiply: a crafted count must not wrap the bound.
-  if (count > remaining() / sizeof(float)) {
-    return Status::IoError("ByteReader: float count past buffer end");
-  }
-  std::vector<float> v(count);
-  FEDADMM_RETURN_IF_ERROR(Bytes(v.data(), count * sizeof(float)));
-  return v;
-}
-
 RandomAccessFile::~RandomAccessFile() { Close(); }
 
 Status RandomAccessFile::Open(const std::string& path, bool truncate) {

@@ -1,19 +1,13 @@
 /// \file file_io.h
-/// \brief Checksummed binary file primitives for the out-of-core layer.
-///
-/// Three small pieces shared by the slab log, the simulation checkpoint
-/// and the event-queue serialization (state/slab_log.h,
-/// state/checkpoint.h, sys/event_queue.h):
+/// \brief Checksummed binary file primitives for the out-of-core layer
+/// (state/slab_log.h, which the tiered store and the simulation checkpoint
+/// both write through):
 ///
 ///   * `Crc32`            — the IEEE 802.3 polynomial, slice-by-8 (eight
 ///                          table lookups per 8-byte word, same values as
 ///                          the byte-at-a-time loop); every on-disk record
 ///                          carries one so a torn tail or a flipped bit is
 ///                          detected, never replayed.
-///   * `ByteWriter` /     — bounds-checked little-endian encoding into an
-///     `ByteReader`         owned byte string. Fixed-width on disk
-///                          regardless of host: the formats are part of
-///                          the checkpoint contract.
 ///   * `RandomAccessFile` — positional I/O over one POSIX fd with
 ///                          write-combined appends: appended bytes collect
 ///                          in a fixed-size staging buffer that goes out in
@@ -23,9 +17,8 @@
 ///                          logical end so the slab log can hand out stable
 ///                          record offsets; reads never share seek state.
 ///
-/// Float bit patterns round-trip exactly (bit_cast through uint32), which
-/// is what makes checkpoint replay bitwise rather than approximately
-/// equal.
+/// No byte codec lives here: what goes inside a record is encoded with
+/// `comm/wire.h`.
 
 #ifndef FEDADMM_UTIL_FILE_IO_H_
 #define FEDADMM_UTIL_FILE_IO_H_
@@ -35,8 +28,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -45,53 +36,6 @@ namespace fedadmm {
 /// \brief CRC-32 (IEEE 802.3, reflected) of `len` bytes; `seed` chains
 /// incremental computations (pass a previous return value).
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
-
-/// \brief Little-endian append-only encoder into an owned byte string.
-class ByteWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  /// Raw bytes, no length prefix (caller frames them).
-  void Bytes(const void* data, size_t len);
-  /// u64 length prefix + raw bytes.
-  void String(std::string_view s);
-  /// u64 count prefix + raw fp32 bit patterns.
-  void Floats(std::span<const float> v);
-
-  const std::string& str() const { return out_; }
-  std::string Take() { return std::move(out_); }
-  size_t size() const { return out_.size(); }
-
- private:
-  std::string out_;
-};
-
-/// \brief Bounds-checked little-endian decoder over a borrowed buffer.
-/// Every read returns IoError once the buffer is exhausted — a truncated
-/// blob surfaces as a Status, never as garbage values.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  Result<uint8_t> U8();
-  Result<uint32_t> U32();
-  Result<uint64_t> U64();
-  Result<int64_t> I64();
-  Result<double> F64();
-  Status Bytes(void* out, size_t len);
-  Result<std::string> String();
-  Result<std::vector<float>> Floats();
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool empty() const { return remaining() == 0; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 /// \brief One POSIX fd with positional reads/writes and a tracked append
 /// end. Appends are staged: they cost a memcpy until `kStagingBytes` have

@@ -2,13 +2,15 @@
 // byte layout of Writer against hardcoded bytes — the memcpy fast paths
 // must be byte-identical to the historical per-byte shift loops, or every
 // payload on disk and on the wire silently changes — and (b) the
-// Status-returning ReaderView: it reads back every value Writer wrote, and
-// reports truncation as a clean InvalidArgument (never an abort).
+// Status-returning ReaderView: it reads back every value Writer wrote,
+// strings and float arrays included, and reports truncation or a crafted
+// count as a clean InvalidArgument (never an abort).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "comm/wire.h"
@@ -94,6 +96,49 @@ TEST(ReaderViewTest, RoundTripsWriterOutput) {
   EXPECT_EQ(f64, 1e300);
   EXPECT_EQ(view.remaining(), 0u);
   EXPECT_EQ(view.consumed(), out.size());
+}
+
+TEST(ReaderViewTest, RoundTripsStringsAndFloats) {
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  w.PutU8(7);
+  w.PutString("fedadmm");
+  w.PutFloats(std::vector<float>{1.0f, -2.0f, 0.25f});
+  w.PutFloats(std::vector<float>{});
+  // Checkpoint blobs travel as strings; the string form parses the same.
+  const std::string blob(out.begin(), out.end());
+
+  ReaderView view(blob);
+  uint8_t u8 = 0;
+  std::string s;
+  std::vector<float> floats;
+  ASSERT_TRUE(view.TryU8(&u8).ok());
+  ASSERT_TRUE(view.TryString(&s).ok());
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(s, "fedadmm");
+  ASSERT_TRUE(view.TryFloats(&floats).ok());
+  EXPECT_EQ(floats, (std::vector<float>{1.0f, -2.0f, 0.25f}));
+  ASSERT_TRUE(view.TryFloats(&floats).ok());
+  EXPECT_EQ(floats, std::vector<float>{});
+  EXPECT_EQ(view.remaining(), 0u);
+  // Exhausted buffer: further reads are errors, not garbage.
+  EXPECT_FALSE(view.TryU8(&u8).ok());
+}
+
+TEST(ReaderViewTest, OversizeCountIsAnError) {
+  // count * sizeof(float) wraps to 4 here; the reader must not believe it,
+  // as a float count or as a string length.
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  w.PutU64((uint64_t{1} << 62) + 1);
+  w.PutF64(0.0);
+  std::vector<float> floats;
+  EXPECT_TRUE(ReaderView(out.data(), out.size())
+                  .TryFloats(&floats)
+                  .IsInvalidArgument());
+  std::string s;
+  EXPECT_TRUE(
+      ReaderView(out.data(), out.size()).TryString(&s).IsInvalidArgument());
 }
 
 TEST(ReaderViewTest, TruncationIsStatusNotAbort) {

@@ -103,20 +103,6 @@ TEST(BufferPoolTest, DirtyEvictionHandsSlabToWriteBack) {
   EXPECT_EQ(pool.evictions(), 2);
 }
 
-TEST(BufferPoolTest, ExplicitEvictRespectsPins) {
-  int write_backs = 0;
-  BufferPool pool(2, kFrameFloats,
-                  [&](uint64_t, std::span<const float>) { ++write_backs; });
-  bool hit = false;
-  pool.Pin(5, &hit);
-  pool.Evict(5);  // Pinned: must be a no-op.
-  EXPECT_NE(pool.Find(5), nullptr);
-  pool.Unpin(5, /*dirty=*/true);
-  pool.Evict(5);
-  EXPECT_EQ(pool.Find(5), nullptr);
-  EXPECT_EQ(write_backs, 1);
-}
-
 TEST(BufferPoolTest, OverflowPinsNeverFailAndTrimBack) {
   BufferPool pool(2, kFrameFloats, nullptr);
   bool hit = false;
@@ -173,19 +159,6 @@ TEST(BufferPoolTest, AdmitAfterOverflowTrimStaysWithinCapacity) {
   EXPECT_EQ(pool.resident_frames(), 1);
   pool.Unpin(4, false);
   EXPECT_EQ(pool.resident_frames(), 1);
-}
-
-TEST(BufferPoolTest, ClearDropsFramesAndCounters) {
-  int write_backs = 0;
-  BufferPool pool(2, kFrameFloats,
-                  [&](uint64_t, std::span<const float>) { ++write_backs; });
-  bool hit = false;
-  pool.Pin(1, &hit);
-  pool.Unpin(1, /*dirty=*/true);
-  pool.Clear();
-  EXPECT_EQ(pool.resident_frames(), 0);
-  EXPECT_EQ(write_backs, 0);  // Configure-time wipe: no write-back.
-  EXPECT_EQ(pool.Find(1), nullptr);
 }
 
 }  // namespace

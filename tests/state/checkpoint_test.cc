@@ -3,7 +3,9 @@
 // stateful algorithms, and the buffered event mode with its in-flight
 // queue), a SIGKILLed child recovers from its last committed group, and a
 // torn or corrupt tail falls back to the previous group instead of
-// replaying garbage.
+// replaying garbage. Also pins the bytes of the completion events and the
+// algorithm extras inside a checkpoint, and checks that a restore into a
+// store of another geometry is refused before it touches the store.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +21,12 @@
 #include <utility>
 #include <vector>
 
+#include "comm/wire.h"
 #include "core/fedadmm.h"
 #include "fl/algorithms/fedavg.h"
 #include "fl/algorithms/fedpd.h"
 #include "fl/algorithms/scaffold.h"
+#include "fl/digest.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -88,7 +92,8 @@ struct RunOutput {
 // semantic — nothing survives in process memory).
 RunOutput RunSyncOnce(const std::string& algo_name, int max_rounds,
                       const std::string& checkpoint_path, bool restore,
-                      const std::string& state_store = "lazy") {
+                      const std::string& state_store = "lazy",
+                      double target_accuracy = -1.0) {
   QuadraticProblem problem(Spec());
   auto algo = MakeAlgo(algo_name);
   auto selector = MakeSelector(algo_name);
@@ -99,6 +104,7 @@ RunOutput RunSyncOnce(const std::string& algo_name, int max_rounds,
   config.state_store = state_store;
   config.checkpoint_path = checkpoint_path;
   config.restore_from_checkpoint = restore;
+  config.target_accuracy = target_accuracy;
   Simulation sim(&problem, algo.get(), selector.get(), config);
   RunOutput out;
   out.history = std::move(sim.Run()).ValueOrDie();
@@ -295,7 +301,7 @@ TEST(CheckpointTest, CadenceStillCheckpointsFinalRound) {
 }
 
 RunOutput RunBufferedOnce(int max_rounds, const std::string& checkpoint_path,
-                          bool restore) {
+                          bool restore, double target_accuracy = -1.0) {
   QuadraticProblem problem(Spec());
   FedAdmmOptions options;
   options.local.learning_rate = 0.05f;
@@ -318,6 +324,7 @@ RunOutput RunBufferedOnce(int max_rounds, const std::string& checkpoint_path,
   config.state_store = "lazy";
   config.checkpoint_path = checkpoint_path;
   config.restore_from_checkpoint = restore;
+  config.target_accuracy = target_accuracy;
   Simulation sim(&problem, &algo, &selector, config);
   sim.set_system_model(&model);
   RunOutput out;
@@ -398,6 +405,70 @@ TEST(CheckpointTest, FinishedEventRunRestoresAsFinished) {
   // replays zero events and returns the identical finished run.
   const RunOutput restored = RunBufferedOnce(kRounds, path, true);
   ExpectIdenticalTrajectories(finished, restored);
+  RemoveFileIfExists(path);
+}
+
+TEST(CheckpointTest, TargetAccuracyRunRestoresAsFinished) {
+  // A run stopped by its target checkpoints the final record; restoring it
+  // with the same config returns that run instead of dispatching more.
+  constexpr int kBudget = 40;
+  constexpr double kTarget = 0.5;
+  for (const bool buffered : {false, true}) {
+    SCOPED_TRACE(buffered ? "buffered" : "sync");
+    const std::string path = TempPath("ckpt_target.slab");
+    RemoveFileIfExists(path);
+    const auto run = [&](bool restore) {
+      return buffered ? RunBufferedOnce(kBudget, path, restore, kTarget)
+                      : RunSyncOnce("FedADMM", kBudget, path, restore, "lazy",
+                                    kTarget);
+    };
+    const RunOutput finished = run(/*restore=*/false);
+    ASSERT_LT(finished.history.size(), kBudget);
+    ASSERT_GE(finished.history.records().back().test_accuracy, kTarget);
+    const RunOutput restored = run(/*restore=*/true);
+    ExpectIdenticalTrajectories(finished, restored);
+    RemoveFileIfExists(path);
+  }
+}
+
+TEST(CheckpointTest, ForeignGeometryIsRefusedBeforeTouchingTheStore) {
+  // Clients 0 and 2 of a 3-client store with two 4-float slots, in
+  // (client, slot) order: a valid slab always comes before the bad one.
+  const std::string path = TempPath("ckpt_geometry.slab");
+  RemoveFileIfExists(path);
+  const auto make_store = [](int clients, int64_t slot1_dim) {
+    auto store = MakeClientStateStore("lazy").ValueOrDie();
+    std::vector<StateSlotSpec> slots(2);
+    slots[0].dim = 4;
+    slots[1].dim = slot1_dim;
+    store->Configure(clients, std::move(slots));
+    return store;
+  };
+  auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+  {
+    auto source = make_store(3, 4);
+    for (const int client : {0, 2}) {
+      for (const int slot : {0, 1}) {
+        for (float& v : source->MutableView(client, slot)) v = 1.5f;
+      }
+      source->Release(client);
+    }
+    ASSERT_TRUE(
+        AppendSimulationCheckpoint(log.get(), 1, "engine", source.get()).ok());
+  }
+  const SimulationCheckpoint checkpoint =
+      LoadLatestSimulationCheckpoint(*log).ValueOrDie();
+  ASSERT_EQ(checkpoint.slabs.size(), 4u);
+  // Client 2 is out of range of a 2-client store; slot 1 holds 4 floats
+  // where the store wants 5.
+  for (const auto& [clients, slot1_dim] :
+       {std::pair{2, int64_t{4}}, std::pair{3, int64_t{5}}}) {
+    auto target = make_store(clients, slot1_dim);
+    const Status status =
+        RestoreStoreContents(*log, checkpoint, target.get());
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(target->num_touched_clients(), 0) << status.ToString();
+  }
   RemoveFileIfExists(path);
 }
 
@@ -535,7 +606,37 @@ TEST(CheckpointTest, BadCadenceIsRejected) {
   EXPECT_FALSE(sim.Run().ok());
 }
 
-TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
+// The algorithm extras ride in every checkpoint, and checkpoints already on
+// disk must restore: their bytes after a fixed short run are pinned.
+TEST(CheckpointTest, ExtraStateBytesArePinned) {
+  const struct {
+    const char* algo;
+    size_t size;
+    const char* digest;
+  } kPins[] = {{"FedPD", 6357, "0x65827c56ef06dca5"},
+               {"SCAFFOLD", 40, "0x47712e1fbe34774a"}};
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(pin.algo);
+    QuadraticProblem problem(Spec());
+    auto algo = MakeAlgo(pin.algo);
+    auto selector = MakeSelector(pin.algo);
+    SimulationConfig config;
+    config.max_rounds = 3;
+    config.seed = 33;
+    config.num_threads = 2;
+    config.state_store = "lazy";
+    Simulation sim(&problem, algo.get(), selector.get(), config);
+    ASSERT_TRUE(sim.Run().ok());
+    const std::string blob = algo->SerializeExtraState();
+    Fnv1a hash;
+    hash.Bytes(blob.data(), blob.size());
+    EXPECT_EQ(blob.size(), pin.size);
+    EXPECT_EQ(Hex(hash.value()), pin.digest);
+  }
+}
+
+// Every field set to a distinct value (the partial fate, both payloads).
+ClientCompletionEvent SampleEvent() {
   ClientCompletionEvent event;
   event.time = 12.75;
   event.sequence = 991;
@@ -556,13 +657,18 @@ TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   event.message.epochs_run = 2;
   event.message.steps_run = 9;
   event.message.wire_bytes = 77;
+  return event;
+}
 
-  ByteWriter writer;
+TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
+  const ClientCompletionEvent event = SampleEvent();
+  std::vector<uint8_t> bytes;
+  wire::Writer writer(&bytes);
   SerializeClientCompletionEvent(event, &writer);
-  ByteReader reader(writer.str());
+  wire::ReaderView reader(bytes.data(), bytes.size());
   const ClientCompletionEvent decoded =
       DeserializeClientCompletionEvent(&reader).ValueOrDie();
-  EXPECT_TRUE(reader.empty());
+  EXPECT_EQ(reader.remaining(), 0u);
 
   EXPECT_EQ(decoded.time, event.time);
   EXPECT_EQ(decoded.sequence, event.sequence);
@@ -584,6 +690,18 @@ TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   EXPECT_EQ(decoded.message.epochs_run, event.message.epochs_run);
   EXPECT_EQ(decoded.message.steps_run, event.message.steps_run);
   EXPECT_EQ(decoded.message.wire_bytes, event.message.wire_bytes);
+}
+
+// Event checkpoints hold these bytes, and checkpoints already on disk must
+// restore: a change to them needs a new event-checkpoint tag.
+TEST(EventSerializationTest, CompletionEventBytesArePinned) {
+  std::vector<uint8_t> bytes;
+  wire::Writer writer(&bytes);
+  SerializeClientCompletionEvent(SampleEvent(), &writer);
+  Fnv1a hash;
+  hash.Bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), 137u);
+  EXPECT_EQ(Hex(hash.value()), "0xeb6fbf2f73cb31d2");
 }
 
 }  // namespace

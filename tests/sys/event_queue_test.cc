@@ -41,15 +41,6 @@ TEST(EventQueueTest, EqualTimesBreakTiesByDispatchSequence) {
   EXPECT_EQ(queue.Pop().sequence, 7);
 }
 
-TEST(EventQueueTest, PeekDoesNotRemove) {
-  EventQueue queue;
-  queue.Push(Event(2.0, 0, 5));
-  queue.Push(Event(1.0, 1, 6));
-  EXPECT_EQ(queue.Peek().client_id, 6);
-  EXPECT_EQ(queue.size(), 2);
-  EXPECT_EQ(queue.Pop().client_id, 6);
-}
-
 ClientSystemProfile Profile(double steps_per_second, double up_bps,
                             double down_bps, double latency) {
   ClientSystemProfile p;
