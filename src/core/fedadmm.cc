@@ -6,9 +6,7 @@ namespace fedadmm {
 
 void FedAdmm::Setup(const AlgorithmContext& ctx,
                     std::span<const float> theta0) {
-  num_clients_ = ctx.num_clients;
-  dim_ = ctx.dim;
-  reduce_pool_ = ctx.reduce_pool;
+  FederatedAlgorithm::Setup(ctx, theta0);
   // Canonical initialization (Section VII): w_i⁰ = θ⁰, y_i⁰ = 0, which makes
   // θᵗ the exact mean of augmented models under η = |S|/m. Registered as
   // slot initial values: sparse backends never pay for untouched clients.
@@ -16,10 +14,7 @@ void FedAdmm::Setup(const AlgorithmContext& ctx,
   slots[kSlotModel].dim = ctx.dim;
   slots[kSlotModel].init.assign(theta0.begin(), theta0.end());
   slots[kSlotDual].dim = ctx.dim;
-  auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, options_.state_store, ctx.num_clients, std::move(slots));
-  FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
-  store_ = std::move(store).ValueOrDie();
+  BuildStateStore(ctx, std::move(slots));
 }
 
 UpdateMessage FedAdmm::ClientUpdate(int client_id, int round,
@@ -43,63 +38,38 @@ UpdateMessage FedAdmm::ClientUpdate(int client_id, int round,
           ? std::vector<float>(w_stored.begin(), w_stored.end())
           : std::vector<float>(theta.begin(), theta.end());
 
-  // Minimize the augmented Lagrangian (3): g += y_i + ρ (w − θ).
+  // Minimize the augmented Lagrangian (3): g += y_i + ρ (w − θ). Frozen
+  // duals drop y_i, leaving FedProx's proximal term.
   const bool frozen = options_.freeze_duals;
-  auto transform = [y, rho, theta, frozen](std::span<const float> w_now,
-                                           std::span<float> grad) {
-    const size_t n = grad.size();
-    if (frozen) {
-      for (size_t i = 0; i < n; ++i) {
-        grad[i] += rho * (w_now[i] - theta[i]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        grad[i] += y[i] + rho * (w_now[i] - theta[i]);
-      }
-    }
-  };
   const int epochs = SampleEpochs(options_.local, &rng);
-  const LocalSolveResult result =
-      RunLocalSgd(problem, options_.local, epochs, w, &rng, transform);
+  const LocalSolveResult result = RunLocalSgd(
+      problem, options_.local, epochs, w, &rng,
+      AugmentedLagrangianTerm(frozen ? std::span<const float>() : y, rho,
+                              theta));
 
   // Dual ascent (line 20): y_i ← y_i + ρ (w_i⁺ − θ).
-  if (!frozen) {
-    for (size_t i = 0; i < y.size(); ++i) {
-      y[i] += rho * (w[i] - theta[i]);
-    }
-  }
+  if (!frozen) DualAscent(rho, w, theta, y);
 
   // Update message (Eq. 4): Δ_i = (w⁺ + y⁺/ρ) − (w + y/ρ).
-  UpdateMessage msg;
-  msg.client_id = client_id;
+  UpdateMessage msg = SolvedMessage(client_id, result);
   msg.delta.resize(w.size());
   for (size_t i = 0; i < w.size(); ++i) {
     msg.delta[i] = (w[i] + y[i] / rho) - u_prev[i];
   }
   vec::Copy(w, w_stored);
   store_->Release(client_id);
-
-  msg.train_loss = result.mean_loss;
-  msg.epochs_run = result.epochs_run;
-  msg.steps_run = result.steps_run;
   return msg;
 }
 
 void FedAdmm::ServerUpdate(const std::vector<UpdateMessage>& updates,
                            int round, std::vector<float>* theta) {
-  FEDADMM_CHECK(!updates.empty());
   const float eta =
       options_.eta_active_fraction
           ? static_cast<float>(updates.size()) /
                 static_cast<float>(num_clients_)
           : static_cast<float>(options_.eta.At(round));
-  // Tracking update (Eq. 5): θ ← θ + (η/|S_t|) Σ Δ_i, as one fused blocked
-  // pass (bitwise identical to the per-message Axpy loop).
-  const float step = eta / static_cast<float>(updates.size());
-  std::vector<std::span<const float>> deltas;
-  deltas.reserve(updates.size());
-  for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
-  vec::AxpyMany(step, deltas, *theta, reduce_pool_);
+  // Tracking update (Eq. 5): θ ← θ + (η/|S_t|) Σ Δ_i.
+  AddScaledDeltas(eta / static_cast<float>(updates.size()), updates, theta);
 }
 
 Status FedAdmm::ValidateForEventMode() const {
@@ -110,10 +80,6 @@ Status FedAdmm::ValidateForEventMode() const {
       "tracking update m/|S_t|-fold. Set "
       "FedAdmmOptions::eta_active_fraction=true (η = |S_t|/m) or run "
       "ExecutionMode::kSync");
-}
-
-int64_t FedAdmm::StateBytesResident() const {
-  return store_ ? store_->bytes_resident() : 0;
 }
 
 std::vector<float> FedAdmm::MeanAugmentedModel(int round) const {

@@ -27,14 +27,12 @@
 #ifndef FEDADMM_CORE_FEDADMM_H_
 #define FEDADMM_CORE_FEDADMM_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/schedules.h"
 #include "fl/algorithm.h"
 #include "fl/local_solver.h"
-#include "state/client_state_store.h"
 
 namespace fedadmm {
 
@@ -103,9 +101,6 @@ class FedAdmm : public FederatedAlgorithm {
   /// update m/|S_t|-fold — the PR 4 footgun, now a fast, clear error.
   Status ValidateForEventMode() const override;
 
-  /// Resident bytes of the (w_i, y_i) store.
-  int64_t StateBytesResident() const override;
-
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override {
     return options_.state_store;
@@ -135,16 +130,12 @@ class FedAdmm : public FederatedAlgorithm {
   /// The underlying client-state store (tests/diagnostics).
   const ClientStateStore& state_store() const { return *store_; }
 
-  /// Engine handle for prefetch hints and checkpoint passes.
-  ClientStateStore* mutable_state_store() override { return store_.get(); }
-
  private:
   /// Store slots: client primal iterate w_i and dual variable y_i.
   static constexpr int kSlotModel = 0;
   static constexpr int kSlotDual = 1;
 
   FedAdmmOptions options_;
-  std::unique_ptr<ClientStateStore> store_;
 };
 
 }  // namespace fedadmm

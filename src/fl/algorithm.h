@@ -4,17 +4,18 @@
 #ifndef FEDADMM_FL_ALGORITHM_H_
 #define FEDADMM_FL_ALGORITHM_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fl/problem.h"
 #include "fl/types.h"
+#include "state/client_state_store.h"
 #include "util/rng.h"
 
 namespace fedadmm {
 
-class ClientStateStore;
 class ThreadPool;
 
 /// \brief Static facts an algorithm needs before the first round.
@@ -45,9 +46,11 @@ class FederatedAlgorithm {
   /// Display name, e.g. "FedADMM".
   virtual std::string name() const = 0;
 
-  /// Called once before round 0 with the initial global model θ⁰.
+  /// Called once before round 0 with the initial global model θ⁰. The
+  /// default caches the run shape (clients, dim, reduction pool); stateful
+  /// methods call it, then build their store with `BuildStateStore`.
   virtual void Setup(const AlgorithmContext& ctx,
-                     std::span<const float> theta0) = 0;
+                     std::span<const float> theta0);
 
   /// Executes the local work of `client_id` for round `round` given the
   /// downloaded global model `theta`, producing the upload message.
@@ -85,7 +88,9 @@ class FederatedAlgorithm {
   /// Bytes of server-visible per-client state currently resident
   /// (src/state ClientStateStore accounting). 0 for stateless methods.
   /// Surfaced per round as `RoundRecord::state_bytes_resident`.
-  virtual int64_t StateBytesResident() const { return 0; }
+  virtual int64_t StateBytesResident() const {
+    return store_ ? store_->bytes_resident() : 0;
+  }
 
   /// The state-store spec this method falls back to when
   /// `AlgorithmContext::state_store` is empty ("" for stateless methods).
@@ -106,11 +111,17 @@ class FederatedAlgorithm {
   /// fast instead of silently diverging (or crashing mid-run).
   virtual Status ValidateForEventMode() const { return Status::OK(); }
 
+  /// True when every server step needs all m clients (FedPD's
+  /// full-population mean). The engine then refuses the event modes and a
+  /// straggler policy other than wait-for-all before round 0, and a cohort
+  /// smaller than m before it is dispatched.
+  virtual bool RequiresFullParticipation() const { return false; }
+
   /// The method's client-state store, when it has one — the engine's
   /// handle for prefetch hints (`PrefetchClients` on the next cohort) and
   /// checkpoint passes (`ForEachTouched` / restore). nullptr for stateless
   /// methods.
-  virtual ClientStateStore* mutable_state_store() { return nullptr; }
+  virtual ClientStateStore* mutable_state_store() { return store_.get(); }
 
   /// Server-side scalars/vectors beyond θ and the state store that a
   /// checkpoint must carry (FedPD's communication coin + counters,
@@ -128,11 +139,25 @@ class FederatedAlgorithm {
   }
 
  protected:
+  /// Builds `store_` over `slots` from the run's spec, or from
+  /// `DefaultStateStoreSpec()` when the run names none. The engine probed
+  /// the spec before Setup, so a bad one CHECK-fails here.
+  void BuildStateStore(const AlgorithmContext& ctx,
+                       std::vector<StateSlotSpec> slots);
+
+  /// The averaging server step: θ += step · Σ Δ_i over the batch's
+  /// deltas, as one blocked AxpyMany on the lent pool (bitwise the
+  /// per-message Axpy loop).
+  void AddScaledDeltas(float step, const std::vector<UpdateMessage>& updates,
+                       std::vector<float>* theta) const;
+
   /// Cached from Setup for the default byte accounting.
   int num_clients_ = 0;
   int64_t dim_ = 0;
   /// Cached from Setup: pool for blocked reductions (may be nullptr).
   ThreadPool* reduce_pool_ = nullptr;
+  /// Per-client state of the stateful methods; null for stateless ones.
+  std::unique_ptr<ClientStateStore> store_;
 };
 
 }  // namespace fedadmm

@@ -7,18 +7,12 @@ namespace fedadmm {
 
 void FedPd::Setup(const AlgorithmContext& ctx,
                   std::span<const float> theta0) {
-  num_clients_ = ctx.num_clients;
-  dim_ = ctx.dim;
-  reduce_pool_ = ctx.reduce_pool;
+  FederatedAlgorithm::Setup(ctx, theta0);
   std::vector<StateSlotSpec> slots(2);
   slots[kSlotModel].dim = ctx.dim;
   slots[kSlotModel].init.assign(theta0.begin(), theta0.end());
   slots[kSlotDual].dim = ctx.dim;
-  auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
-      std::move(slots));
-  FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
-  store_ = std::move(store).ValueOrDie();
+  BuildStateStore(ctx, std::move(slots));
   comm_rounds_ = 0;
   // Decide the first round's communication coin up front; subsequent coins
   // are flipped in ServerUpdate so ClientUpdate can see a consistent value.
@@ -31,34 +25,20 @@ UpdateMessage FedPd::ClientUpdate(int client_id, int round,
   (void)round;
   std::span<float> w = store_->MutableView(client_id, kSlotModel);
   std::span<float> y = store_->MutableView(client_id, kSlotDual);
-  const float rho = rho_;
 
   // Warm-start from the stored local model; anchor to the *current* θ.
-  auto transform = [y, rho, theta](std::span<const float> w_now,
-                                   std::span<float> grad) {
-    const size_t n = grad.size();
-    for (size_t i = 0; i < n; ++i) {
-      grad[i] += y[i] + rho * (w_now[i] - theta[i]);
-    }
-  };
   const int epochs = SampleEpochs(local_, &rng);
   const LocalSolveResult result =
-      RunLocalSgd(problem, local_, epochs, w, &rng, transform);
-  // Dual ascent: y_i += ρ (w_i − θ).
-  for (size_t i = 0; i < y.size(); ++i) {
-    y[i] += rho * (w[i] - theta[i]);
-  }
+      RunLocalSgd(problem, local_, epochs, w, &rng,
+                  AugmentedLagrangianTerm(y, rho_, theta));
+  DualAscent(rho_, w, theta, y);
 
-  UpdateMessage msg;
-  msg.client_id = client_id;
-  msg.train_loss = result.mean_loss;
-  msg.epochs_run = result.epochs_run;
-  msg.steps_run = result.steps_run;
+  UpdateMessage msg = SolvedMessage(client_id, result);
   if (communicate_this_round_) {
     // Upload the augmented model w_i + y_i/ρ for global averaging.
     msg.delta.resize(w.size());
     for (size_t i = 0; i < w.size(); ++i) {
-      msg.delta[i] = w[i] + y[i] / rho;
+      msg.delta[i] = w[i] + y[i] / rho_;
     }
   }
   store_->Release(client_id);
@@ -71,27 +51,12 @@ void FedPd::ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
   if (communicate_this_round_) {
     FEDADMM_CHECK_MSG(static_cast<int>(updates.size()) == num_clients_,
                       "FedPD requires full participation");
-    vec::Zero(*theta);
-    const float inv_m = 1.0f / static_cast<float>(num_clients_);
-    std::vector<std::span<const float>> deltas;
-    deltas.reserve(updates.size());
-    for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
     // θ = (1/m) Σ (w_i + y_i/ρ).
-    vec::AxpyMany(inv_m, deltas, *theta, reduce_pool_);
+    vec::Zero(*theta);
+    AddScaledDeltas(1.0f / static_cast<float>(num_clients_), updates, theta);
     ++comm_rounds_;
   }
   communicate_this_round_ = coin_rng_.Bernoulli(comm_probability_);
-}
-
-Status FedPd::ValidateForEventMode() const {
-  return Status::InvalidArgument(
-      "FedPD aggregates θ = (1/m) Σ (w_i + y_i/ρ) over the full population; "
-      "buffered/async partial batches cannot form that mean. Use "
-      "ExecutionMode::kSync with FullParticipationSelector");
-}
-
-int64_t FedPd::StateBytesResident() const {
-  return store_ ? store_->bytes_resident() : 0;
 }
 
 std::string FedPd::SerializeExtraState() const {

@@ -6,11 +6,12 @@
 /// update (w_i, y_i) against their local copy of the global model, and with
 /// probability p the round ends with a global aggregation
 /// θ = (1/m) Σ (w_i + y_i/ρ); otherwise no communication happens and
-/// clients continue locally. Use with FullParticipationSelector. It is
-/// implemented here so the paper's qualitative claim — that the global
-/// update frequency is throttled by p and all clients bear compute cost
-/// every round — can be measured (see the FedPD integration test and the
-/// Table I notes in EXPERIMENTS.md).
+/// clients continue locally. Runs only in sync mode, with
+/// FullParticipationSelector and the wait-for-all straggler policy; the
+/// engine refuses anything else with InvalidArgument. It is implemented
+/// here so the paper's qualitative claim — that the global update
+/// frequency is throttled by p and all clients bear compute cost every
+/// round — can be measured (tests/fl/fedpd_test.cc).
 ///
 /// Communication accounting: on non-communication rounds clients upload
 /// nothing (empty delta), so the simulator's byte counters reflect FedPD's
@@ -19,11 +20,8 @@
 #ifndef FEDADMM_FL_ALGORITHMS_FEDPD_H_
 #define FEDADMM_FL_ALGORITHMS_FEDPD_H_
 
-#include <memory>
-
 #include "fl/algorithm.h"
 #include "fl/local_solver.h"
-#include "state/client_state_store.h"
 
 namespace fedadmm {
 
@@ -48,21 +46,15 @@ class FedPd : public FederatedAlgorithm {
   void ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
                     std::vector<float>* theta) override;
 
-  /// Event modes fail fast: partial batches cannot form the full-population
-  /// mean FedPD's server step requires.
-  Status ValidateForEventMode() const override;
-
-  /// Resident bytes of the (w_i, y_i) store.
-  int64_t StateBytesResident() const override;
+  /// θ = (1/m) Σ (w_i + y_i/ρ) needs all m clients: the engine refuses
+  /// event modes, sampled cohorts and deadline policies.
+  bool RequiresFullParticipation() const override { return true; }
 
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override { return "lazy"; }
 
   /// Number of aggregation (communication) rounds so far.
   int communication_rounds() const { return comm_rounds_; }
-
-  /// Engine handle for prefetch hints and checkpoint passes.
-  ClientStateStore* mutable_state_store() override { return store_.get(); }
 
   /// Checkpoints the communication coin stream and round counters — the
   /// server-side state a restored run needs to keep the same aggregation
@@ -81,9 +73,6 @@ class FedPd : public FederatedAlgorithm {
   Rng coin_rng_;
   int comm_rounds_ = 0;
   bool communicate_this_round_ = false;
-
-  /// Per-client primal/dual state (persistent across rounds).
-  std::unique_ptr<ClientStateStore> store_;
 };
 
 }  // namespace fedadmm

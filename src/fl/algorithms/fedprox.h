@@ -10,12 +10,14 @@
 namespace fedadmm {
 
 /// \brief FedAvg plus a proximal term: local steps follow
-/// ∇f_i(w, b) + ρ(w − θ), anchoring clients to the global model.
+/// ∇f_i(w, b) + ρ(w − θ), anchoring clients to the global model; the
+/// server averages the deltas w⁺ − θ into θ with step η_g/|S_t|.
 ///
-/// Equivalent to FedADMM's local problem with y_i ≡ 0 (Section III-B). The
-/// paper highlights that FedProx's performance is sensitive to ρ, which
-/// Table V / bench_table5 reproduce. Variable local epochs are enabled by
-/// default (FedProx tolerates variable work, like FedADMM).
+/// Equivalent to FedADMM's local problem with y_i ≡ 0 (Section III-B), and
+/// to FedAvg at ρ = 0, where no gradient term is added at all. The paper
+/// highlights that FedProx's performance is sensitive to ρ, which Table V /
+/// bench_table5 reproduce. Local epochs follow the caller's
+/// `LocalTrainSpec`: fixed at E, or U{1..E} when `variable_epochs` is set.
 ///
 /// Async mode runs `ServerUpdate` on a one-message batch; the proximal
 /// anchor makes stale arrivals gentler than FedAvg's, since every local
@@ -26,8 +28,6 @@ class FedProx : public FederatedAlgorithm {
       : local_(local), rho_(rho), server_lr_(server_lr) {}
 
   std::string name() const override { return "FedProx"; }
-  void Setup(const AlgorithmContext& ctx,
-             std::span<const float> theta0) override;
   UpdateMessage ClientUpdate(int client_id, int round,
                              std::span<const float> theta,
                              LocalProblem* problem, Rng rng) override;

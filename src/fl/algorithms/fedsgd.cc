@@ -1,16 +1,6 @@
 #include "fl/algorithms/fedsgd.h"
 
-#include "tensor/vec.h"
-
 namespace fedadmm {
-
-void FedSgd::Setup(const AlgorithmContext& ctx,
-                   std::span<const float> theta0) {
-  (void)theta0;
-  num_clients_ = ctx.num_clients;
-  dim_ = ctx.dim;
-  reduce_pool_ = ctx.reduce_pool;
-}
 
 UpdateMessage FedSgd::ClientUpdate(int client_id, int round,
                                    std::span<const float> theta,
@@ -29,13 +19,8 @@ UpdateMessage FedSgd::ClientUpdate(int client_id, int round,
 void FedSgd::ServerUpdate(const std::vector<UpdateMessage>& updates,
                           int round, std::vector<float>* theta) {
   (void)round;
-  FEDADMM_CHECK(!updates.empty());
-  const float step =
-      -learning_rate_ / static_cast<float>(updates.size());
-  std::vector<std::span<const float>> deltas;
-  deltas.reserve(updates.size());
-  for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
-  vec::AxpyMany(step, deltas, *theta, reduce_pool_);
+  AddScaledDeltas(-learning_rate_ / static_cast<float>(updates.size()),
+                  updates, theta);
 }
 
 }  // namespace fedadmm

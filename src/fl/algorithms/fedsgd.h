@@ -20,8 +20,6 @@ class FedSgd : public FederatedAlgorithm {
   explicit FedSgd(float learning_rate) : learning_rate_(learning_rate) {}
 
   std::string name() const override { return "FedSGD"; }
-  void Setup(const AlgorithmContext& ctx,
-             std::span<const float> theta0) override;
   UpdateMessage ClientUpdate(int client_id, int round,
                              std::span<const float> theta,
                              LocalProblem* problem, Rng rng) override;

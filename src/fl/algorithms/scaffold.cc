@@ -7,20 +7,13 @@ namespace fedadmm {
 
 void Scaffold::Setup(const AlgorithmContext& ctx,
                      std::span<const float> theta0) {
-  (void)theta0;
-  num_clients_ = ctx.num_clients;
-  dim_ = ctx.dim;
-  reduce_pool_ = ctx.reduce_pool;
+  FederatedAlgorithm::Setup(ctx, theta0);
   server_c_.assign(static_cast<size_t>(dim_), 0.0f);
   // Controls are zero-initialized as the paper recommends — the slot
   // default, so sparse backends keep untouched clients free.
   std::vector<StateSlotSpec> slots(1);
   slots[kSlotControl].dim = ctx.dim;
-  auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
-      std::move(slots));
-  FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
-  store_ = std::move(store).ValueOrDie();
+  BuildStateStore(ctx, std::move(slots));
 }
 
 UpdateMessage Scaffold::ClientUpdate(int client_id, int round,
@@ -42,8 +35,7 @@ UpdateMessage Scaffold::ClientUpdate(int client_id, int round,
   const LocalSolveResult result =
       RunLocalSgd(problem, local_, epochs, w, &rng, transform);
 
-  UpdateMessage msg;
-  msg.client_id = client_id;
+  UpdateMessage msg = SolvedMessage(client_id, result);
   msg.delta.resize(theta.size());
   vec::Sub(w, theta, msg.delta);
 
@@ -58,10 +50,6 @@ UpdateMessage Scaffold::ClientUpdate(int client_id, int round,
   vec::Sub(c_i_new, c_i, msg.delta2);
   vec::Copy(c_i_new, c_i);
   store_->Release(client_id);
-
-  msg.train_loss = result.mean_loss;
-  msg.epochs_run = result.epochs_run;
-  msg.steps_run = result.steps_run;
   return msg;
 }
 
@@ -70,26 +58,19 @@ void Scaffold::ServerUpdate(const std::vector<UpdateMessage>& updates,
   (void)round;
   FEDADMM_CHECK(!updates.empty());
   const float inv_s = 1.0f / static_cast<float>(updates.size());
-  std::vector<std::span<const float>> deltas;
   std::vector<std::span<const float>> control_deltas;
-  deltas.reserve(updates.size());
   control_deltas.reserve(updates.size());
   for (const UpdateMessage& msg : updates) {
     FEDADMM_CHECK_MSG(!msg.delta2.empty(),
                       "SCAFFOLD requires control deltas in messages");
-    deltas.push_back(msg.delta);
     control_deltas.push_back(msg.delta2);
   }
   // θ += η_g * avg(Δw)
-  vec::AxpyMany(server_lr_ * inv_s, deltas, *theta, reduce_pool_);
+  AddScaledDeltas(server_lr_ * inv_s, updates, theta);
   // c += (|S|/m) * avg(Δc)
   const float scale = static_cast<float>(updates.size()) /
                       static_cast<float>(num_clients_) * inv_s;
   vec::AxpyMany(scale, control_deltas, server_c_, reduce_pool_);
-}
-
-int64_t Scaffold::StateBytesResident() const {
-  return store_ ? store_->bytes_resident() : 0;
 }
 
 std::string Scaffold::SerializeExtraState() const {

@@ -4,11 +4,8 @@
 #ifndef FEDADMM_FL_ALGORITHMS_SCAFFOLD_H_
 #define FEDADMM_FL_ALGORITHMS_SCAFFOLD_H_
 
-#include <memory>
-
 #include "fl/algorithm.h"
 #include "fl/local_solver.h"
-#include "state/client_state_store.h"
 
 namespace fedadmm {
 
@@ -46,9 +43,6 @@ class Scaffold : public FederatedAlgorithm {
     return 2 * dim_ * static_cast<int64_t>(sizeof(float));
   }
 
-  /// Resident bytes of the client-control store.
-  int64_t StateBytesResident() const override;
-
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override { return "lazy"; }
 
@@ -59,9 +53,6 @@ class Scaffold : public FederatedAlgorithm {
   std::span<const float> client_control(int i) const {
     return store_->View(i, kSlotControl);
   }
-
-  /// Engine handle for prefetch hints and checkpoint passes.
-  ClientStateStore* mutable_state_store() override { return store_.get(); }
 
   /// Checkpoints the server control variate c.
   std::string SerializeExtraState() const override;
@@ -74,7 +65,6 @@ class Scaffold : public FederatedAlgorithm {
   LocalTrainSpec local_;
   float server_lr_;
   std::vector<float> server_c_;
-  std::unique_ptr<ClientStateStore> store_;
 };
 
 }  // namespace fedadmm

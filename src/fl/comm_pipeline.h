@@ -56,9 +56,6 @@ class CommPipeline {
   /// without an uplink codec.
   void EncodeUplink(int wave, UpdateMessage* msg);
 
-  bool has_uplink() const { return uplink_ != nullptr; }
-  bool has_downlink() const { return downlink_ != nullptr; }
-
  private:
   UpdateCodec* uplink_;
   UpdateCodec* downlink_;

@@ -47,4 +47,35 @@ LocalSolveResult RunLocalSgd(LocalProblem* problem,
   return result;
 }
 
+GradientTransform AugmentedLagrangianTerm(std::span<const float> y, float rho,
+                                          std::span<const float> theta) {
+  if (y.empty()) {
+    if (rho == 0.0f) return nullptr;
+    return [rho, theta](std::span<const float> w, std::span<float> grad) {
+      for (size_t i = 0; i < grad.size(); ++i) {
+        grad[i] += rho * (w[i] - theta[i]);
+      }
+    };
+  }
+  return [y, rho, theta](std::span<const float> w, std::span<float> grad) {
+    for (size_t i = 0; i < grad.size(); ++i) {
+      grad[i] += y[i] + rho * (w[i] - theta[i]);
+    }
+  };
+}
+
+void DualAscent(float rho, std::span<const float> w,
+                std::span<const float> theta, std::span<float> y) {
+  for (size_t i = 0; i < y.size(); ++i) y[i] += rho * (w[i] - theta[i]);
+}
+
+UpdateMessage SolvedMessage(int client_id, const LocalSolveResult& result) {
+  UpdateMessage msg;
+  msg.client_id = client_id;
+  msg.train_loss = result.mean_loss;
+  msg.epochs_run = result.epochs_run;
+  msg.steps_run = result.steps_run;
+  return msg;
+}
+
 }  // namespace fedadmm

@@ -1,15 +1,18 @@
 /// \file local_solver.h
-/// \brief Shared local SGD loop used by FedAvg, FedProx and FedADMM.
+/// \brief The client side of Section III-B, stated once: the local SGD
+/// loop, the augmented-Lagrangian term and the dual ascent.
 ///
-/// All three methods run the same minibatch SGD over the client's data; they
-/// differ only in the extra term added to the batch gradient:
-///   * FedAvg:   g
-///   * FedProx:  g + ρ(w − θ)
-///   * FedADMM:  g + y + ρ(w − θ)       (Alg. 1, line 17)
-/// The extra term is injected through `GradientTransform`, which also makes
-/// the paper's reduction claims directly testable: with the transforms
-/// aligned, the three solvers produce identical iterates given identical
-/// batch sequences (Section III-B).
+/// Every local-training method runs the same minibatch SGD over the
+/// client's data and differs only in the term added to the batch gradient,
+/// injected through `GradientTransform`:
+///   * FedAvg:   g                   (FedProx at ρ = 0: no transform)
+///   * FedProx:  g + ρ(w − θ)        (FedADMM with y ≡ 0)
+///   * FedADMM:  g + y + ρ(w − θ)    (Alg. 1, line 17; FedPD likewise)
+///   * SCAFFOLD: g + c − c_i         (its own control-variate transform)
+/// The first three come from one `AugmentedLagrangianTerm`, so the paper's
+/// reduction claims hold by construction and stay testable: with the
+/// terms aligned, the solvers produce identical iterates given identical
+/// batch sequences.
 
 #ifndef FEDADMM_FL_LOCAL_SOLVER_H_
 #define FEDADMM_FL_LOCAL_SOLVER_H_
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "fl/problem.h"
+#include "fl/types.h"
 
 namespace fedadmm {
 
@@ -69,6 +73,23 @@ LocalSolveResult RunLocalSgd(LocalProblem* problem, const LocalTrainSpec& spec,
 /// \brief Resolves the epoch count for one (round, client) pair: either the
 /// fixed `spec.max_epochs` or U{1..max_epochs} under system heterogeneity.
 int SampleEpochs(const LocalTrainSpec& spec, Rng* rng);
+
+/// \brief The gradient of the local augmented Lagrangian's coupling terms
+/// (Eq. 3): g += y + ρ(w − θ). An empty `y` gives the proximal-only form
+/// g += ρ(w − θ) (FedProx, and FedADMM with frozen duals), and with ρ = 0
+/// as well the term vanishes: no transform (FedAvg). The spans are
+/// captured, so they must outlive the solve.
+GradientTransform AugmentedLagrangianTerm(std::span<const float> y, float rho,
+                                          std::span<const float> theta);
+
+/// \brief Dual ascent (Alg. 1, line 20): y += ρ(w − θ).
+void DualAscent(float rho, std::span<const float> w,
+                std::span<const float> theta, std::span<float> y);
+
+/// \brief The upload message of `client_id` after a local solve: the id
+/// and the solve's diagnostics (loss, epochs, steps). The payload is the
+/// caller's to fill.
+UpdateMessage SolvedMessage(int client_id, const LocalSolveResult& result);
 
 }  // namespace fedadmm
 

@@ -32,6 +32,18 @@ constexpr uint64_t kInitTag = 0x1417;
 constexpr uint8_t kCheckpointSyncTag = 1;
 constexpr uint8_t kCheckpointEventTag = 3;
 
+// The refusal of a run that cannot give a full-participation method (FedPD)
+// all m clients in every server step.
+Status FullParticipationRequired(const FederatedAlgorithm& algorithm,
+                                 const std::string& reason) {
+  return Status::InvalidArgument(
+      "Simulation: " + algorithm.name() +
+      " averages the full population of m clients in every server step, so "
+      "it runs only in sync mode with FullParticipationSelector and the "
+      "wait-for-all straggler policy; " +
+      reason);
+}
+
 // Mean training loss; NaN (the skipped-metric sentinel) when empty.
 double MeanTrainLoss(double loss_sum, size_t count) {
   return count == 0 ? std::numeric_limits<double>::quiet_NaN()
@@ -161,12 +173,17 @@ Result<History> ServerLoop::Run() {
       return Status::InvalidArgument(
           "Simulation: checkpoint_every must be >= 1");
     }
-    // Codec state (error-feedback residuals) is not in the checkpoint.
-    if (uplink_codec_ != nullptr || downlink_codec_ != nullptr) {
-      return Status::InvalidArgument(
-          "Simulation: checkpoint_path does not cover codec state "
-          "(error-feedback residuals); detach the uplink/downlink codecs "
-          "or disable checkpointing");
+    // Stateful codecs hold residuals the checkpoint lacks; stochastic ones
+    // draw from per-(wave, client) forks of the seed's master stream.
+    for (const UpdateCodec* codec : {uplink_codec_, downlink_codec_}) {
+      if (codec != nullptr && codec->stateful()) {
+        return Status::InvalidArgument(
+            "Simulation: checkpoint_path does not cover the error-feedback "
+            "residuals of stateful codec '" +
+            codec->name() +
+            "'; checkpointed runs take stateless codecs only (no ef: "
+            "wrapper), or disable checkpointing");
+      }
     }
   }
   if (ingest_ != nullptr) {
@@ -197,8 +214,21 @@ Result<History> ServerLoop::Run() {
           "clock)");
     }
     // Methods whose aggregation breaks under small batches refuse here
-    // (fixed-η FedADMM overshoots m-fold; FedPD needs the full mean).
+    // (fixed-η FedADMM overshoots m-fold).
     FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
+  }
+  if (algorithm_->RequiresFullParticipation()) {
+    if (!sync()) {
+      return FullParticipationRequired(
+          *algorithm_, "mode '" + ExecutionModeName(config_.mode) +
+                           "' aggregates partial batches");
+    }
+    if (system_model_ != nullptr &&
+        system_model_->policy().name() != "wait-for-all") {
+      return FullParticipationRequired(
+          *algorithm_, "the straggler policy is '" +
+                           system_model_->policy().name() + "'");
+    }
   }
   if (!config_.round_trace_path.empty()) {
     // No context columns: the trace is the plain History::WriteCsv schema.
@@ -256,6 +286,16 @@ Result<History> ServerLoop::RunLoop() {
     FEDADMM_CHECK_MSG(!initial.empty(), "selector returned empty set");
     concurrency_ = static_cast<int>(initial.size());
     FEDADMM_RETURN_IF_ERROR(DispatchWave(initial, wave));
+  } else if (!sync() && history.size() < config_.max_rounds) {
+    // A group written when a smaller budget ran out precedes the refill of
+    // the slot its last arrival freed: a larger budget refills it as the
+    // longer run did. Mid-run groups hold a full queue.
+    while (queue_.size() < concurrency_) {
+      const int wave = wave_counter_++;
+      const int replacement = PickReplacement(wave);
+      if (replacement < 0) break;
+      FEDADMM_RETURN_IF_ERROR(DispatchWave({replacement}, wave));
+    }
   }
   const int buffer_target =
       config_.mode == ExecutionMode::kAsync
@@ -280,6 +320,13 @@ Result<History> ServerLoop::RunLoop() {
       std::vector<int> cohort = std::exchange(next_cohort_, {});
       if (cohort.empty()) cohort = Select(wave);
       FEDADMM_CHECK_MSG(!cohort.empty(), "selector returned empty set");
+      if (algorithm_->RequiresFullParticipation() &&
+          static_cast<int>(cohort.size()) < problem_->num_clients()) {
+        return FullParticipationRequired(
+            *algorithm_, "the selector drew " + std::to_string(cohort.size()) +
+                             " of " + std::to_string(problem_->num_clients()) +
+                             " clients");
+      }
       FEDADMM_RETURN_IF_ERROR(DispatchWave(cohort, wave));
       buffer_.reserve(wave_.size());  // no regrowth while the wave drains
     }

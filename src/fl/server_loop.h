@@ -140,8 +140,9 @@ class ServerLoop {
   const SimulationConfig& config_;
   const SystemModel* system_model_;
   const RoundObserver* observer_;
-  /// Kept only for the checkpoint pre-flight: codec state (error-feedback
-  /// residuals) is not serialized, so checkpointing rejects codec runs.
+  /// Kept only for the checkpoint pre-flight: stateful codec state
+  /// (error-feedback residuals) is not serialized, so checkpointing
+  /// rejects stateful codecs.
   UpdateCodec* uplink_codec_;
   UpdateCodec* downlink_codec_;
   /// Serve-mode wave source (fl/ingest.h); null for in-process execution.

@@ -94,8 +94,12 @@ struct SimulationConfig {
   /// the in-flight event queue) to this slab-log file (state/checkpoint.h).
   /// Each checkpoint is a meta..commit record group; a SIGKILL anywhere
   /// replays from the last *committed* group, bit-identically to the
-  /// uninterrupted run. Incompatible with uplink/downlink codecs (their
-  /// error-feedback residuals are not serialized — the run fails fast).
+  /// uninterrupted run, and a finished run restored with a larger
+  /// `max_rounds` continues as the longer run would have, in every mode.
+  /// Stateless codecs replay too (stochastic ones draw from per-(wave,
+  /// client) forks of the seed's stream); stateful ones (`ef:`) are
+  /// refused before round 0, since their error-feedback residuals are not
+  /// serialized.
   std::string checkpoint_path;
   /// Checkpoint cadence: append a group every k-th record (>= 1). The
   /// final record is always checkpointed so a finished run restores as

@@ -5,7 +5,6 @@
 #define FEDADMM_UTIL_STOPWATCH_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace fedadmm {
 
@@ -28,65 +27,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// \brief Accumulates wall time across pause/resume cycles.
-///
-/// Unlike `Stopwatch`, which measures one contiguous interval, an
-/// accumulator sums many: `Start()` begins a segment, `Stop()` ends it and
-/// adds its duration to the running total. Useful for "time spent in phase
-/// X this round" where the phase is entered and left repeatedly.
-/// `AddSeconds` folds in externally measured durations (e.g. per-shard
-/// partials), keeping the arithmetic unit-testable without a clock.
-class StopwatchAccumulator {
- public:
-  /// Begins a segment. No-op when already running.
-  void Start() {
-    if (running_) return;
-    running_ = true;
-    start_ = Clock::now();
-  }
-
-  /// Ends the current segment and adds it to the total. Returns the
-  /// segment's duration in seconds (0 when not running).
-  double Stop() {
-    if (!running_) return 0.0;
-    running_ = false;
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    total_seconds_ += seconds;
-    ++segments_;
-    return seconds;
-  }
-
-  /// Folds an externally measured duration into the total.
-  void AddSeconds(double seconds) {
-    total_seconds_ += seconds;
-    ++segments_;
-  }
-
-  /// Clears the total and stops any running segment.
-  void Reset() {
-    running_ = false;
-    total_seconds_ = 0.0;
-    segments_ = 0;
-  }
-
-  /// Total accumulated seconds over all completed segments. A running
-  /// segment is NOT included until Stop().
-  double TotalSeconds() const { return total_seconds_; }
-
-  /// Number of completed segments (Stop() calls plus AddSeconds() calls).
-  int64_t segments() const { return segments_; }
-
-  bool running() const { return running_; }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_{};
-  double total_seconds_ = 0.0;
-  int64_t segments_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace fedadmm

@@ -13,6 +13,10 @@
 
 #include "comm/identity.h"
 #include "core/fedadmm.h"
+#include "fl/algorithms/fedavg.h"
+#include "fl/algorithms/fedpd.h"
+#include "fl/algorithms/fedprox.h"
+#include "fl/algorithms/fedsgd.h"
 #include "fl/algorithms/scaffold.h"
 #include "fl/digest.h"
 #include "fl/quadratic_problem.h"
@@ -182,7 +186,9 @@ TEST(DeterministicReplayTest, LossyCodecChangesThetaButNotAccounting) {
 // --- Cross-version pin: the digests below were computed by the engine
 // before its sync and event loops were merged, so a refactor of the loop
 // that changes any bit of θ or of a deterministic record field fails
-// here. Every cell runs on the `lazy` store. The pin assumes the host's
+// here. The FedAvg, FedProx, FedSGD and FedPD digests were computed
+// before the algorithms shared one augmented-Lagrangian term, dual ascent
+// and averaging step. Every cell runs on the `lazy` store. The pin assumes the host's
 // floating-point results match the machine that produced the digests,
 // the same assumption the perf rails' exact `*_sim_seconds` gates make;
 // the cross-ISA contract (FEDADMM_FORCE_SCALAR=1) must give the same
@@ -222,7 +228,8 @@ constexpr double kDropDeadline = 0.12;
 // One pinned configuration. Empty strings leave the knob unset: no
 // system model, no codec, the engine's default staleness weight.
 struct PinCell {
-  bool scaffold = false;
+  /// "FedADMM", "FedAvg", "FedProx", "FedSGD", "FedPD" or "SCAFFOLD".
+  std::string algorithm = "FedADMM";
   ExecutionMode mode = ExecutionMode::kSync;
   std::string policy;
   double deadline = -1.0;
@@ -238,18 +245,33 @@ struct PinOutput {
   int partial = 0;
 };
 
+// The baselines share FedADMM's local spec; FedPD runs on the full
+// population it requires.
+std::unique_ptr<FederatedAlgorithm> MakePinAlgorithm(
+    const std::string& name, const FedAdmmOptions& options) {
+  if (name == "FedAvg") return std::make_unique<FedAvg>(options.local);
+  if (name == "FedProx") {
+    return std::make_unique<FedProx>(options.local, 0.1f);
+  }
+  if (name == "FedSGD") return std::make_unique<FedSgd>(0.05f);
+  if (name == "FedPD") return std::make_unique<FedPd>(options.local, 0.1f, 0.5);
+  if (name == "SCAFFOLD") return std::make_unique<Scaffold>(options.local);
+  return std::make_unique<FedAdmm>(options);
+}
+
 PinOutput RunPinCell(const PinCell& cell) {
   QuadraticProblem problem(Spec());
   FedAdmmOptions options = Options();
   // Event modes require the |S_t|/m server step (eta guardrail).
   options.eta_active_fraction = cell.mode != ExecutionMode::kSync;
-  std::unique_ptr<FederatedAlgorithm> algo;
-  if (cell.scaffold) {
-    algo = std::make_unique<Scaffold>(options.local);
+  const std::unique_ptr<FederatedAlgorithm> algo =
+      MakePinAlgorithm(cell.algorithm, options);
+  std::unique_ptr<ClientSelector> selector;
+  if (cell.algorithm == "FedPD") {
+    selector = std::make_unique<FullParticipationSelector>(12);
   } else {
-    algo = std::make_unique<FedAdmm>(options);
+    selector = std::make_unique<UniformFractionSelector>(12, 0.5);
   }
-  UniformFractionSelector selector(12, 0.5);
   SimulationConfig config;
   config.max_rounds = 10;
   config.seed = 7;
@@ -274,7 +296,7 @@ PinOutput RunPinCell(const PinCell& cell) {
   if (!cell.downlink.empty()) {
     downlink = MakeUpdateCodec(cell.downlink).ValueOrDie();
   }
-  Simulation sim(&problem, algo.get(), &selector, config);
+  Simulation sim(&problem, algo.get(), selector.get(), config);
   sim.set_system_model(model.get());
   sim.set_uplink_codec(uplink.get());
   sim.set_downlink_codec(downlink.get());
@@ -304,7 +326,7 @@ TEST(DeterministicReplayTest, TrajectoriesMatchPinnedDigests) {
   drop_ef.deadline = kDropDeadline;
   drop_ef.uplink = "ef:topk10";
   PinCell scaffold;
-  scaffold.scaffold = true;
+  scaffold.algorithm = "SCAFFOLD";
   PinCell buffered;
   buffered.mode = ExecutionMode::kBuffered;
   buffered.policy = "deadline-admit-partial";
@@ -314,6 +336,11 @@ TEST(DeterministicReplayTest, TrajectoriesMatchPinnedDigests) {
   PinCell async;
   async.mode = ExecutionMode::kAsync;
   async.policy = "wait-for-all";
+  // The baselines, each alone and in the buffered setup.
+  const auto named = [](const char* algorithm, PinCell cell) {
+    cell.algorithm = algorithm;
+    return cell;
+  };
   const Case cases[] = {
       {"sync", PinCell{}, 0xce9b9797f3f2fad1ULL},
       {"sync partial q8/q8", partial_q8, 0x88559b9cbd1f96b6ULL},
@@ -321,6 +348,13 @@ TEST(DeterministicReplayTest, TrajectoriesMatchPinnedDigests) {
       {"scaffold sync", scaffold, 0xb043f4ad2865ec3dULL},
       {"buffered partial poly:1", buffered, 0x875f03d0ab237445ULL},
       {"async", async, 0x97295ca2489f1ad5ULL},
+      {"FedAvg sync", named("FedAvg", {}), 0xc17e7cd0b6804050ULL},
+      {"FedAvg buffered", named("FedAvg", buffered), 0x55f4612c42441145ULL},
+      {"FedProx sync", named("FedProx", {}), 0xc22976d54e916bd7ULL},
+      {"FedProx buffered", named("FedProx", buffered), 0xafbf9cb7bcafc533ULL},
+      {"FedSGD sync", named("FedSGD", {}), 0x8714bdb0acac5b07ULL},
+      {"FedSGD buffered", named("FedSGD", buffered), 0x34fcff485714256dULL},
+      {"FedPD sync", named("FedPD", {}), 0x2852edb5cc72856eULL},
   };
   for (const Case& c : cases) {
     const PinOutput out = RunPinCell(c.cell);

@@ -1,9 +1,10 @@
-// The event-mode pre-flight guardrail (FederatedAlgorithm::
-// ValidateForEventMode): FedADMM with a fixed η silently overshoots the
-// tracking update m/|S_t|-fold under buffered/async aggregation (the PR 4
-// footgun), and FedPD cannot form its full-population mean from partial
-// batches. Both must fail fast with a clear Status — never crash mid-run,
-// never run and diverge.
+// The engine's pre-flight guardrails: FedADMM with a fixed η silently
+// overshoots the tracking update m/|S_t|-fold under buffered/async
+// aggregation (FederatedAlgorithm::ValidateForEventMode), and FedPD
+// (RequiresFullParticipation) cannot form its full-population mean from
+// event-mode batches, a sampled cohort or a straggler policy that drops or
+// shrinks updates. All must fail fast with a clear Status — never crash
+// mid-run, never run and diverge.
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,43 @@ TEST(EtaGuardrailTest, FedPdRejectsEventModesWithStatusNotCrash) {
     ASSERT_FALSE(result.ok()) << ExecutionModeName(mode);
     EXPECT_NE(result.status().message().find("full population"),
               std::string::npos);
+  }
+}
+
+// Sync FedPD needs all m clients in every server step: a cohort drawn
+// smaller than m, or a straggler policy that may drop or shrink updates,
+// is refused with InvalidArgument naming the fix before any client runs.
+TEST(EtaGuardrailTest, FedPdRejectsPartialParticipationInSync) {
+  const SystemModel deadline_model(
+      FleetModel::FromPreset("cellular", kClients, 2).ValueOrDie(),
+      MakeStragglerPolicy("deadline-admit-partial", 0.1).ValueOrDie());
+  for (const bool sampled : {true, false}) {
+    SCOPED_TRACE(sampled ? "UniformFractionSelector"
+                         : "deadline-admit-partial");
+    QuadraticProblem problem(Spec());
+    LocalTrainSpec local;
+    local.max_epochs = 1;
+    FedPd algo(local, 0.5f, 0.5);
+    std::unique_ptr<ClientSelector> selector;
+    if (sampled) {
+      selector = std::make_unique<UniformFractionSelector>(kClients, 0.5);
+    } else {
+      selector = std::make_unique<FullParticipationSelector>(kClients);
+    }
+    SimulationConfig config;
+    config.max_rounds = 3;
+    Simulation sim(&problem, &algo, selector.get(), config);
+    if (!sampled) sim.set_system_model(&deadline_model);
+    const auto result = sim.Run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("FullParticipationSelector"),
+              std::string::npos);
+    EXPECT_NE(result.status().message().find("wait-for-all"),
+              std::string::npos);
+    // No client ran: the (w_i, y_i) store, if built, is untouched.
+    const ClientStateStore* store = algo.mutable_state_store();
+    EXPECT_TRUE(store == nullptr || store->num_touched_clients() == 0);
   }
 }
 

@@ -1,11 +1,13 @@
 // Crash-safe checkpoint/restore of the whole simulation: resumed runs
 // replay bitwise against uninterrupted references (sync across all three
 // stateful algorithms, and the buffered event mode with its in-flight
-// queue), a SIGKILLed child recovers from its last committed group, and a
-// torn or corrupt tail falls back to the previous group instead of
-// replaying garbage. Also pins the bytes of the completion events and the
-// algorithm extras inside a checkpoint, and checks that a restore into a
-// store of another geometry is refused before it touches the store.
+// queue), finished runs extend to a larger budget in every mode, a
+// SIGKILLed child recovers from its last committed group (also under
+// stateless codecs), and a torn or corrupt tail falls back to the previous
+// group instead of replaying garbage. Also pins the bytes of the completion
+// events and the algorithm extras inside a checkpoint, and checks that a
+// restore into a store of another geometry is refused before it touches
+// the store.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -300,8 +303,20 @@ TEST(CheckpointTest, CadenceStillCheckpointsFinalRound) {
   RemoveFileIfExists(path);
 }
 
-RunOutput RunBufferedOnce(int max_rounds, const std::string& checkpoint_path,
-                          bool restore, double target_accuracy = -1.0) {
+// FedADMM (η = |S_t|/m) on the cellular fleet under wait-for-all in
+// `mode`, with the named codecs ("" for none), checkpointing every
+// `checkpoint_every` records to (or restoring from) `path`.
+struct FleetRun {
+  ExecutionMode mode = ExecutionMode::kBuffered;
+  std::string uplink;
+  std::string downlink;
+  int checkpoint_every = 1;
+  double target_accuracy = -1.0;
+};
+
+RunOutput RunFleetOnce(const FleetRun& run, int max_rounds,
+                       const std::string& path, bool restore,
+                       const RoundObserver& observer = nullptr) {
   QuadraticProblem problem(Spec());
   FedAdmmOptions options;
   options.local.learning_rate = 0.05f;
@@ -315,22 +330,39 @@ RunOutput RunBufferedOnce(int max_rounds, const std::string& checkpoint_path,
       FleetModel::FromPreset("cellular", kClients, 3).ValueOrDie();
   SystemModel model(std::move(fleet),
                     MakeStragglerPolicy("wait-for-all", -1.0).ValueOrDie());
+  std::unique_ptr<UpdateCodec> uplink;
+  std::unique_ptr<UpdateCodec> downlink;
+  if (!run.uplink.empty()) uplink = MakeUpdateCodec(run.uplink).ValueOrDie();
+  if (!run.downlink.empty()) {
+    downlink = MakeUpdateCodec(run.downlink).ValueOrDie();
+  }
   SimulationConfig config;
   config.max_rounds = max_rounds;
   config.seed = 9;
   config.num_threads = 2;
-  config.mode = ExecutionMode::kBuffered;
+  config.mode = run.mode;
   config.buffer_size = 3;
   config.state_store = "lazy";
-  config.checkpoint_path = checkpoint_path;
+  config.checkpoint_path = path;
+  config.checkpoint_every = run.checkpoint_every;
   config.restore_from_checkpoint = restore;
-  config.target_accuracy = target_accuracy;
+  config.target_accuracy = run.target_accuracy;
   Simulation sim(&problem, &algo, &selector, config);
   sim.set_system_model(&model);
+  sim.set_uplink_codec(uplink.get());
+  sim.set_downlink_codec(downlink.get());
+  if (observer) sim.set_observer(observer);
   RunOutput out;
   out.history = std::move(sim.Run()).ValueOrDie();
   out.theta = sim.theta();
   return out;
+}
+
+RunOutput RunBufferedOnce(int max_rounds, const std::string& checkpoint_path,
+                          bool restore, double target_accuracy = -1.0) {
+  FleetRun run;
+  run.target_accuracy = target_accuracy;
+  return RunFleetOnce(run, max_rounds, checkpoint_path, restore);
 }
 
 TEST(CheckpointTest, BufferedEventModeKillRecoversInFlightQueue) {
@@ -338,9 +370,7 @@ TEST(CheckpointTest, BufferedEventModeKillRecoversInFlightQueue) {
   // state carrying the event queue, the aggregation buffer, and every
   // dispatch counter. Killing the process and restoring from the last
   // committed group must replay the uninterrupted trajectory bitwise.
-  // (Note this is crash recovery, not budget extension: a run that
-  // *finished* its max_rounds stopped refilling slots, so extending it is
-  // a different trajectory by design.)
+  // (Budget extension of a finished event-mode run is EventResumeSweep.)
   const std::string path = TempPath("ckpt_event_kill.slab");
   RemoveFileIfExists(path);
   const RunOutput reference = RunBufferedOnce(kRounds, "", false);
@@ -396,6 +426,93 @@ TEST(CheckpointTest, BufferedEventModeKillRecoversInFlightQueue) {
   ExpectIdenticalTrajectories(reference, resumed);
   RemoveFileIfExists(path);
 }
+
+// A finished event-mode run restored with a larger budget continues as the
+// longer run would have: the slot its last arrival freed is refilled from
+// the restored wave counter and selection stream.
+class EventResumeSweep : public ::testing::TestWithParam<ExecutionMode> {};
+
+TEST_P(EventResumeSweep, ExtendedRunReplaysLongerRunBitwise) {
+  FleetRun run;
+  run.mode = GetParam();
+  const RunOutput reference = RunFleetOnce(run, kRounds, "", false);
+  const std::string path =
+      TempPath("ckpt_extend_" + ExecutionModeName(run.mode) + ".slab");
+  RemoveFileIfExists(path);
+  RunFleetOnce(run, kHalf, path, /*restore=*/false);
+  const RunOutput extended = RunFleetOnce(run, kRounds, path, /*restore=*/true);
+  ExpectIdenticalTrajectories(reference, extended);
+  RemoveFileIfExists(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, EventResumeSweep,
+    ::testing::Values(ExecutionMode::kBuffered, ExecutionMode::kAsync),
+    [](const auto& info) { return ExecutionModeName(info.param); });
+
+// Stateless codecs hold nothing a checkpoint lacks, and stochastic ones draw
+// from per-(wave, client) forks of the seed's stream: a run killed after a
+// committed group restores to the uninterrupted trajectory in every mode.
+class CodecKillSweep
+    : public ::testing::TestWithParam<
+          std::tuple<ExecutionMode, std::pair<const char*, const char*>>> {};
+
+TEST_P(CodecKillSweep, KilledRunRestoresBitwise) {
+  FleetRun run;
+  run.mode = std::get<0>(GetParam());
+  run.uplink = std::get<1>(GetParam()).first;
+  run.downlink = std::get<1>(GetParam()).second;
+  run.checkpoint_every = 2;
+  const RunOutput reference = RunFleetOnce(run, kRounds, "", false);
+  const std::string path = TempPath("ckpt_codec_kill.slab");
+  RemoveFileIfExists(path);
+
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Child: report each record through the pipe and stop at the fifth,
+    // when the group holding four records is committed, until SIGKILLed.
+    close(fds[0]);
+    int records = 0;
+    (void)RunFleetOnce(run, kRounds, path, false, [&](const RoundRecord&) {
+      const char byte = 'r';
+      (void)!write(fds[1], &byte, 1);
+      if (++records == 5) pause();
+    });
+    close(fds[1]);
+    _exit(0);
+  }
+  close(fds[1]);
+  char byte = 0;
+  int rounds_seen = 0;
+  while (rounds_seen < 5 && read(fds[0], &byte, 1) == 1) ++rounds_seen;
+  ASSERT_EQ(rounds_seen, 5);
+  kill(child, SIGKILL);
+  int status = 0;
+  waitpid(child, &status, 0);
+  close(fds[0]);
+
+  const RunOutput resumed = RunFleetOnce(run, kRounds, path, true);
+  ExpectIdenticalTrajectories(reference, resumed);
+  RemoveFileIfExists(path);
+}
+
+std::string CodecCellName(
+    const ::testing::TestParamInfo<CodecKillSweep::ParamType>& info) {
+  const auto& [mode, codecs] = info.param;
+  return ExecutionModeName(mode) + "_" + codecs.first + "_" + codecs.second;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StatelessCodecs, CodecKillSweep,
+    ::testing::Combine(::testing::Values(ExecutionMode::kSync,
+                                         ExecutionMode::kBuffered,
+                                         ExecutionMode::kAsync),
+                       ::testing::Values(std::pair{"q8", "q8"},
+                                         std::pair{"sq4", "q4"})),
+    CodecCellName);
 
 TEST(CheckpointTest, FinishedEventRunRestoresAsFinished) {
   const std::string path = TempPath("ckpt_event_done.slab");
