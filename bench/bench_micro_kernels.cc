@@ -1,7 +1,7 @@
 /// \file bench_micro_kernels.cc
 /// \brief google-benchmark microbenchmarks of the compute kernels backing
-/// the simulator: GEMM, im2col convolution, pooling, softmax, and the flat
-/// vector operations on the FL hot path.
+/// the simulator: GEMM, im2col convolution, pooling, softmax, the flat
+/// vector operations on the FL hot path, the slab log and the Rng draws.
 ///
 /// Besides the usual console table, every run tees its results into the
 /// obs perf rail (obs/bench_recorder.h): per-iteration real/CPU seconds
@@ -411,6 +411,39 @@ void BM_SlabLogReadFloatsAt(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(d) * 4);
 }
 BENCHMARK(BM_SlabLogReadFloatsAt)->Arg(256);
+
+// ----- Rng: the draws behind every client update and event refill ----------
+// Ids, bounds and sizes come from run-time data: on constants the compiler
+// can fold a fork and its draw away.
+
+// One client update's stream: a (tag, wave, client) fork of the master
+// stream, as ClientExecutor forks it, and its epoch draw U{1..E}
+// (SampleEpochs under variable epochs).
+void BM_RngForkDraw(benchmark::State& state) {
+  const Rng master(101);
+  int64_t max_epochs = 5;
+  benchmark::DoNotOptimize(max_epochs);
+  uint64_t update = 0;
+  for (auto _ : state) {
+    Rng rng = master.Fork(0xC11E, update / 1000, update % 1000);
+    benchmark::DoNotOptimize(rng.UniformInt(1, max_epochs));
+    ++update;
+  }
+}
+BENCHMARK(BM_RngForkDraw);
+
+// fleet-buffered's event refill: k of m clients without replacement. One
+// untimed draw first sizes the sampling thread's retained array.
+void BM_SampleWithoutReplacement(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  Rng rng(202);
+  benchmark::DoNotOptimize(rng.SampleWithoutReplacement(n, k));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.SampleWithoutReplacement(n, k));
+  }
+}
+BENCHMARK(BM_SampleWithoutReplacement)->Args({100000, 1000});
 
 // Console output as usual, plus one BenchResult per benchmark run. The
 // `_wall_seconds` suffix puts the timings in the wall-clock gating class

@@ -101,6 +101,10 @@ class FedAdmm : public FederatedAlgorithm {
   /// update m/|S_t|-fold — the PR 4 footgun, now a fast, clear error.
   Status ValidateForEventMode() const override;
 
+  const LocalTrainSpec* local_spec() const override {
+    return &options_.local;
+  }
+
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override {
     return options_.state_store;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "fl/local_solver.h"
 #include "fl/problem.h"
 #include "fl/types.h"
 #include "state/client_state_store.h"
@@ -116,6 +117,11 @@ class FederatedAlgorithm {
   /// straggler policy other than wait-for-all before round 0, and a cohort
   /// smaller than m before it is dispatched.
   virtual bool RequiresFullParticipation() const { return false; }
+
+  /// The local-training spec of methods that run the local solver
+  /// (fl/local_solver.h); the engine validates it before round 0. nullptr
+  /// for methods without one (FedSGD).
+  virtual const LocalTrainSpec* local_spec() const { return nullptr; }
 
   /// The method's client-state store, when it has one — the engine's
   /// handle for prefetch hints (`PrefetchClients` on the next cohort) and

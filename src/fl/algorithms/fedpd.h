@@ -50,6 +50,8 @@ class FedPd : public FederatedAlgorithm {
   /// event modes, sampled cohorts and deadline policies.
   bool RequiresFullParticipation() const override { return true; }
 
+  const LocalTrainSpec* local_spec() const override { return &local_; }
+
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override { return "lazy"; }
 

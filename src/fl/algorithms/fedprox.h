@@ -34,6 +34,8 @@ class FedProx : public FederatedAlgorithm {
   void ServerUpdate(const std::vector<UpdateMessage>& updates, int round,
                     std::vector<float>* theta) override;
 
+  const LocalTrainSpec* local_spec() const override { return &local_; }
+
   float rho() const { return rho_; }
 
  private:

@@ -46,6 +46,8 @@ class Scaffold : public FederatedAlgorithm {
   /// Fallback when `SimulationConfig::state_store` is empty.
   std::string DefaultStateStoreSpec() const override { return "lazy"; }
 
+  const LocalTrainSpec* local_spec() const override { return &local_; }
+
   /// Server control variate (tests).
   const std::vector<float>& server_control() const { return server_c_; }
   /// Client control variate (tests). A state-store view: untouched clients

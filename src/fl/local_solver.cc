@@ -1,8 +1,20 @@
 #include "fl/local_solver.h"
 
+#include <string>
+
 #include "tensor/vec.h"
 
 namespace fedadmm {
+
+Status ValidateLocalTrainSpec(const LocalTrainSpec& spec) {
+  if (spec.max_epochs < 1) {
+    return Status::InvalidArgument(
+        "LocalTrainSpec: max_epochs must be >= 1 (got " +
+        std::to_string(spec.max_epochs) +
+        "); it is E, the number (or the cap of U{1..E}) of local epochs");
+  }
+  return Status::OK();
+}
 
 int SampleEpochs(const LocalTrainSpec& spec, Rng* rng) {
   FEDADMM_CHECK_MSG(spec.max_epochs >= 1, "max_epochs must be >= 1");

@@ -23,6 +23,7 @@
 
 #include "fl/problem.h"
 #include "fl/types.h"
+#include "util/status.h"
 
 namespace fedadmm {
 
@@ -69,6 +70,11 @@ struct LocalSolveResult {
 LocalSolveResult RunLocalSgd(LocalProblem* problem, const LocalTrainSpec& spec,
                              int epochs, std::span<float> w, Rng* rng,
                              const GradientTransform& transform);
+
+/// \brief The engine's pre-flight check of a method's `LocalTrainSpec`:
+/// InvalidArgument, naming the field, when `max_epochs < 1`, which
+/// `SampleEpochs` would otherwise CHECK-fail on inside the first wave.
+Status ValidateLocalTrainSpec(const LocalTrainSpec& spec);
 
 /// \brief Resolves the epoch count for one (round, client) pair: either the
 /// fixed `spec.max_epochs` or U{1..max_epochs} under system heterogeneity.

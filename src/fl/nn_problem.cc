@@ -1,6 +1,7 @@
 #include "fl/nn_problem.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "nn/losses.h"
 

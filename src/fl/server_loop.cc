@@ -9,6 +9,7 @@
 
 #include "comm/wire.h"
 #include "fl/history_csv.h"
+#include "fl/local_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/checkpoint.h"
@@ -153,6 +154,9 @@ Result<History> ServerLoop::Run() {
   }
   if (config_.eval_every < 1) {
     return Status::InvalidArgument("Simulation: eval_every must be >= 1");
+  }
+  if (const LocalTrainSpec* local = algorithm_->local_spec()) {
+    FEDADMM_RETURN_IF_ERROR(ValidateLocalTrainSpec(*local));
   }
   if (config_.num_shards != 1) {
     return Status::InvalidArgument(

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
 #include <numeric>
+#include <ostream>
+#include <random>
 #include <sstream>
 
 namespace fedadmm {
@@ -12,6 +15,60 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+Mt19937_64::Mt19937_64(result_type seed) {
+  x_[0] = seed;
+  for (size_t i = 1; i < kStateSize; ++i) {
+    const result_type prev = x_[i - 1];
+    x_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::Twist() {
+  constexpr size_t kShift = 156;                          // m
+  constexpr result_type kUpper = ~result_type{0} << 31;   // upper w − r bits
+  constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;  // a
+  // y's low bit selects the matrix through a mask, never a branch.
+  const auto twisted = [](result_type upper, result_type lower) {
+    const result_type y = (upper & kUpper) | (lower & ~kUpper);
+    return (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  result_type* x = x_.data();
+  result_type cur = x[0];
+  for (size_t k = 0; k < kStateSize - kShift; ++k) {
+    const result_type next = x[k + 1];
+    x[k] = x[k + kShift] ^ twisted(cur, next);
+    cur = next;
+  }
+  for (size_t k = kStateSize - kShift; k < kStateSize - 1; ++k) {
+    const result_type next = x[k + 1];
+    x[k] = x[k + kShift - kStateSize] ^ twisted(cur, next);
+    cur = next;
+  }
+  x[kStateSize - 1] = x[kShift - 1] ^ twisted(cur, x[0]);
+  pos_ = 0;
+}
+
+std::ostream& operator<<(std::ostream& os, const Mt19937_64& e) {
+  const std::ios_base::fmtflags flags = os.flags();
+  const char fill = os.fill();
+  os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
+  os.fill(' ');
+  for (const Mt19937_64::result_type word : e.x_) os << word << ' ';
+  os << e.pos_;
+  os.flags(flags);
+  os.fill(fill);
+  return os;
+}
+
+std::istream& operator>>(std::istream& is, Mt19937_64& e) {
+  const std::ios_base::fmtflags flags = is.flags();
+  is.flags(std::ios_base::dec | std::ios_base::skipws);
+  for (Mt19937_64::result_type& word : e.x_) is >> word;
+  is >> e.pos_;
+  is.flags(flags);
+  return is;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -88,8 +145,8 @@ std::vector<double> Rng::Dirichlet(int k, double alpha) {
 }
 
 std::string Rng::SerializeState() const {
-  // mt19937_64's textual stream state is exact: reading it back restores
-  // the engine to the identical draw position.
+  // The engine's text (std::mt19937_64's) is exact: reading it back
+  // restores the identical draw position.
   std::ostringstream oss;
   oss << seed_material_ << ' ' << engine_;
   return oss.str();
@@ -98,7 +155,7 @@ std::string Rng::SerializeState() const {
 Status Rng::RestoreState(const std::string& blob) {
   std::istringstream iss(blob);
   uint64_t seed_material = 0;
-  std::mt19937_64 engine;
+  Mt19937_64 engine;
   iss >> seed_material >> engine;
   if (iss.fail()) {
     return Status::InvalidArgument("Rng::RestoreState: malformed state blob");

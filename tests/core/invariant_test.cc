@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/fedadmm.h"
 #include "core/optimality.h"
 #include "fl/quadratic_problem.h"

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/fedadmm.h"
 #include "fl/algorithms/fedavg.h"
 #include "fl/algorithms/fedprox.h"

@@ -1,18 +1,23 @@
 // The engine's pre-flight guardrails: FedADMM with a fixed η silently
 // overshoots the tracking update m/|S_t|-fold under buffered/async
-// aggregation (FederatedAlgorithm::ValidateForEventMode), and FedPD
+// aggregation (FederatedAlgorithm::ValidateForEventMode), FedPD
 // (RequiresFullParticipation) cannot form its full-population mean from
 // event-mode batches, a sampled cohort or a straggler policy that drops or
-// shrinks updates. All must fail fast with a clear Status — never crash
-// mid-run, never run and diverge.
+// shrinks updates, and no local solver can run fewer than one epoch
+// (ValidateLocalTrainSpec). All must fail fast with a clear Status — never
+// crash mid-run, never run and diverge.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/fedadmm.h"
+#include "fl/algorithms/fedavg.h"
 #include "fl/algorithms/fedpd.h"
+#include "fl/algorithms/fedprox.h"
+#include "fl/algorithms/scaffold.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -142,6 +147,41 @@ TEST(EtaGuardrailTest, FedPdRejectsPartialParticipationInSync) {
     // No client ran: the (w_i, y_i) store, if built, is untouched.
     const ClientStateStore* store = algo.mutable_state_store();
     EXPECT_TRUE(store == nullptr || store->num_touched_clients() == 0);
+  }
+}
+
+// max_epochs < 1 leaves no local epoch to run: every method that runs the
+// local solver is refused with InvalidArgument naming the field before
+// round 0, with fixed and with variable epochs, instead of CHECK-failing
+// in the first wave's SampleEpochs.
+TEST(EtaGuardrailTest, ZeroMaxEpochsIsRejectedBeforeRoundZero) {
+  for (const bool variable_epochs : {false, true}) {
+    LocalTrainSpec local;
+    local.max_epochs = 0;
+    local.variable_epochs = variable_epochs;
+    FedAdmmOptions admm_options;
+    admm_options.local = local;
+    std::vector<std::unique_ptr<FederatedAlgorithm>> algorithms;
+    algorithms.push_back(std::make_unique<FedAvg>(local));
+    algorithms.push_back(std::make_unique<FedProx>(local, 0.1f));
+    algorithms.push_back(std::make_unique<FedAdmm>(admm_options));
+    algorithms.push_back(std::make_unique<FedPd>(local, 0.5f, 0.5));
+    algorithms.push_back(std::make_unique<Scaffold>(local));
+    for (const auto& algo : algorithms) {
+      SCOPED_TRACE(algo->name() + (variable_epochs ? " variable" : " fixed"));
+      QuadraticProblem problem(Spec());
+      FullParticipationSelector selector(kClients);
+      SimulationConfig config;
+      config.max_rounds = 2;
+      Simulation sim(&problem, algo.get(), &selector, config);
+      const auto result = sim.Run();
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("max_epochs"),
+                std::string::npos);
+      const ClientStateStore* store = algo->mutable_state_store();
+      EXPECT_TRUE(store == nullptr || store->num_touched_clients() == 0);
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fl/quadratic_problem.h"
 #include "tensor/vec.h"
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "data/synthetic.h"
 #include "tensor/vec.h"
 

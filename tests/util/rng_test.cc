@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -265,6 +270,184 @@ TEST(RngTest, DirichletSmallAlphaIsSkewed) {
     if (mx > 0.5) ++dominated;
   }
   EXPECT_GT(dominated, 25);
+}
+
+// ----- The engine against std::mt19937_64, its reference ------------------
+
+// Rng seeds its engine with SplitMix64(seed ^ golden ratio).
+std::mt19937_64 ReferenceEngineOf(uint64_t rng_seed) {
+  return std::mt19937_64(SplitMix64(rng_seed ^ 0x9e3779b97f4a7c15ULL));
+}
+
+template <typename Engine>
+std::string EngineText(const Engine& engine) {
+  std::ostringstream oss;
+  oss << engine;
+  return oss.str();
+}
+
+// A UniformInt over the whole int64 range is one raw engine output.
+constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+
+int64_t ReferenceFullRangeDraw(std::mt19937_64* engine) {
+  return std::uniform_int_distribution<int64_t>(kMin64, kMax64)(*engine);
+}
+
+// Counts the next `draws` raw outputs where `rng` and `reference` differ.
+int CountDrawMismatches(Rng* rng, std::mt19937_64* reference, int draws) {
+  int mismatches = 0;
+  for (int i = 0; i < draws; ++i) {
+    if (rng->UniformInt(kMin64, kMax64) != ReferenceFullRangeDraw(reference)) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+// Draw counts on both sides of every twist boundary: the first twist's two
+// loops meet at word 156, its last word is 312, the next twists start at
+// 313 and 625.
+constexpr int kBoundaryCounts[] = {0,   1,   155, 156, 157, 311,
+                                   312, 313, 624, 625, 2000};
+
+TEST(Mt19937_64Test, MatchesStdEngineOverThousandSeeds) {
+  uint64_t seed = 0;
+  int mismatched_seeds = 0;
+  for (int s = 0; s < 1000; ++s) {
+    seed = SplitMix64(seed);
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    int mismatches = 0;
+    for (int draw = 1; draw <= 2000; ++draw) {
+      if (engine() != reference()) ++mismatches;
+    }
+    if (mismatches > 0) ++mismatched_seeds;
+  }
+  EXPECT_EQ(mismatched_seeds, 0);
+}
+
+TEST(Mt19937_64Test, TenThousandthDefaultOutputIsTheStandardsAnswer) {
+  // C++ [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 engine;
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937_64Test, InserterWritesStdTextAtTwistBoundaries) {
+  for (const uint64_t seed : {0ULL, 5489ULL, 0xdeadbeefcafef00dULL}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    int drawn = 0;
+    for (const int count : kBoundaryCounts) {
+      for (; drawn < count; ++drawn) {
+        engine();
+        reference();
+      }
+      EXPECT_EQ(EngineText(engine), EngineText(reference))
+          << "seed " << seed << ", " << count << " draws";
+    }
+  }
+}
+
+TEST(RngTest, SerializeStateIsSeedMaterialPlusStdEngineText) {
+  for (const uint64_t seed : {0ULL, 42ULL, 0xfedcba9876543210ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 reference = ReferenceEngineOf(seed);
+    int drawn = 0;
+    for (const int count : kBoundaryCounts) {
+      for (; drawn < count; ++drawn) {
+        ASSERT_EQ(rng.UniformInt(kMin64, kMax64),
+                  ReferenceFullRangeDraw(&reference));
+      }
+      EXPECT_EQ(rng.SerializeState(),
+                std::to_string(seed) + " " + EngineText(reference))
+          << "seed " << seed << ", " << count << " draws";
+    }
+  }
+}
+
+TEST(RngTest, SamplersMatchStdDistributionsOnStdEngine) {
+  for (const uint64_t seed : {3ULL, 101ULL, 7777ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 reference = ReferenceEngineOf(seed);
+    for (int i = 0; i < 500; ++i) {
+      const int64_t hi = 1 + i % 17;
+      ASSERT_EQ(rng.UniformInt(1, hi),
+                std::uniform_int_distribution<int64_t>(1, hi)(reference));
+      ASSERT_EQ(rng.Uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(reference));
+      ASSERT_EQ(rng.Normal(0.5, 2.0),
+                std::normal_distribution<double>(0.5, 2.0)(reference));
+      ASSERT_EQ(rng.Bernoulli(0.25),
+                std::bernoulli_distribution(0.25)(reference));
+    }
+    std::gamma_distribution<double> gamma(0.3, 1.0);
+    std::vector<double> expected(6);
+    double sum = 0.0;
+    for (double& v : expected) sum += (v = gamma(reference));
+    for (double& v : expected) v /= sum;
+    EXPECT_EQ(rng.Dirichlet(6, 0.3), expected);
+  }
+}
+
+TEST(RngTest, RestoreStateReadsStdEngineText) {
+  for (const int count : kBoundaryCounts) {
+    std::mt19937_64 reference(SplitMix64(static_cast<uint64_t>(count)));
+    for (int i = 0; i < count; ++i) reference();
+    const std::string blob = "77 " + EngineText(reference);
+    Rng rng(1);
+    ASSERT_TRUE(rng.RestoreState(blob).ok()) << count;
+    EXPECT_EQ(rng.SerializeState(), blob) << count;
+    Rng forked = rng.Fork(5, 6);
+    Rng expected_fork = Rng(77).Fork(5, 6);
+    EXPECT_EQ(forked.SerializeState(), expected_fork.SerializeState());
+    EXPECT_EQ(CountDrawMismatches(&rng, &reference, 1000), 0) << count;
+  }
+}
+
+TEST(RngTest, RestoredPositionPastTheStateTwistsOnNextDraw) {
+  std::mt19937_64 source(2024);
+  for (int i = 0; i < 100; ++i) source();
+  const std::string text = EngineText(source);
+  const std::string words = text.substr(0, text.rfind(' ') + 1);
+  for (const char* position : {"312", "313", "400", "100000"}) {
+    SCOPED_TRACE(position);
+    std::mt19937_64 reference;
+    std::istringstream(words + position) >> reference;
+    Rng rng(0);
+    ASSERT_TRUE(rng.RestoreState("9 " + words + position).ok());
+    EXPECT_EQ(rng.SerializeState(), "9 " + words + position);
+    EXPECT_EQ(CountDrawMismatches(&rng, &reference, 1000), 0);
+    EXPECT_EQ(rng.SerializeState(), "9 " + EngineText(reference));
+  }
+}
+
+TEST(RngTest, RestoreStateRefusesTruncatedAndNonNumericBlobs) {
+  Rng source(8);
+  for (int i = 0; i < 10; ++i) source.Uniform();
+  const std::string blob = source.SerializeState();
+  const size_t first_space = blob.find(' ');
+  const size_t second_space = blob.find(' ', first_space + 1);
+  const std::vector<std::string> malformed = {
+      "",
+      "8",
+      blob.substr(0, first_space + 1),
+      blob.substr(0, blob.size() / 2),
+      blob.substr(0, blob.rfind(' ')),  // every word, no position
+      "x" + blob,
+      blob.substr(0, first_space + 1) + "abc" + blob.substr(second_space),
+      blob.substr(0, blob.rfind(' ') + 1) + "end",
+  };
+  Rng rng(3);
+  rng.Uniform();
+  const std::string before = rng.SerializeState();
+  for (const std::string& bad : malformed) {
+    EXPECT_TRUE(rng.RestoreState(bad).IsInvalidArgument())
+        << bad.substr(0, 40);
+    EXPECT_EQ(rng.SerializeState(), before);
+  }
 }
 
 TEST(SplitMix64Test, IsDeterministicAndMixes) {
