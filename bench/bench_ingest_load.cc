@@ -24,10 +24,10 @@
 /// Output: a summary table on stdout and the persisted perf rail
 /// (FEDADMM_BENCH_JSON, required — no default): deterministic
 /// `*_count`/`*_bytes` metrics gate exactly in tools/bench_diff; ingest
-/// latency percentiles (per-worker serve/ingest_seconds histograms,
-/// admission → slot resolution) and updates/sec ride the wall-clock
-/// tolerance; throttle/retry tallies are informational (they depend on
-/// how producers race the ingest workers).
+/// latency percentiles (`Frontend::ingest_latency()`: admission → wave-slot
+/// resolution, merged over the ingest workers) and updates/sec ride the
+/// wall-clock tolerance; throttle/retry tallies are informational (they
+/// depend on how producers race the ingest workers).
 ///
 /// Knobs: FEDADMM_BENCH_SESSIONS (default 12000), FEDADMM_BENCH_STATE_DIM
 /// (default 64), FEDADMM_BENCH_ROUNDS (default 3), FEDADMM_BENCH_THREADS
@@ -94,7 +94,8 @@ struct ServedRun {
 
 /// Runs `clients` sessions over `transport` for `rounds` rounds with q8
 /// both ways and the deadline-drop admission predicate mirrored into
-/// ACKs. The ingest histograms are scoped to this run.
+/// ACKs. Each run builds its own Frontend, so the ingest latency covers
+/// this run only.
 ServedRun RunServed(int clients, int64_t dim, int rounds, int threads,
                     int shards, int queue_capacity, int drivers,
                     uint64_t seed, double deadline_seconds) {
@@ -144,7 +145,6 @@ ServedRun RunServed(int clients, int64_t dim, int rounds, int threads,
   LoadGenerator loadgen(&problem, &algo, seed, threads, /*num_shards=*/1,
                         &frontend, &transport, lg);
 
-  obs::MetricsRegistry::Global().ResetValues();  // scope metrics per run
   const auto start = Clock::now();
   Status loadgen_status = Status::OK();
   std::thread driver([&] { loadgen_status = loadgen.Run(); });
@@ -159,8 +159,7 @@ ServedRun RunServed(int clients, int64_t dim, int rounds, int threads,
   run.theta = sim.theta();
   run.ledger = frontend.ledger();
   run.stats = loadgen.stats();
-  run.ingest = obs::MetricsRegistry::Global().Snapshot().AggregateHistograms(
-      "serve/ingest_seconds");
+  run.ingest = frontend.ingest_latency();
   transport.Stop();
   return run;
 }
@@ -260,10 +259,6 @@ int main() {
               ", " + std::to_string(rounds) + " rounds, ingest workers=" +
               std::to_string(shards) + ", queue=" + std::to_string(queue) +
               ", q8 uplink+downlink, deadline-drop admission");
-
-  // Enable the registry before any Frontend exists: the per-worker ingest
-  // histograms are registered at construction.
-  obs::MetricsRegistry::Global().set_enabled(true);
 
   obs::BenchRecorder recorder("ingest_load");
   recorder.AddContext("sessions", static_cast<int64_t>(sessions));

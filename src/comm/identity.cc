@@ -12,16 +12,11 @@ Payload IdentityCodec::Encode(int64_t stream, const std::vector<float>& v,
   (void)rng;
   Payload payload;
   payload.dim = static_cast<int64_t>(v.size());
-  if constexpr (wire::kHostIsLittleEndian) {
-    // The host's float array already is the wire form: one copy.
-    payload.bytes.resize(v.size() * sizeof(float));
-    if (!v.empty()) {
-      std::memcpy(payload.bytes.data(), v.data(), payload.bytes.size());
-    }
-  } else {
-    payload.bytes.reserve(v.size() * sizeof(float));
-    wire::Writer writer(&payload.bytes);
-    for (float x : v) writer.PutF32(x);
+  // The host's float array already is the wire form (comm/wire.h asserts
+  // a little-endian host): one copy.
+  payload.bytes.resize(v.size() * sizeof(float));
+  if (!v.empty()) {
+    std::memcpy(payload.bytes.data(), v.data(), payload.bytes.size());
   }
   return payload;
 }
@@ -35,12 +30,7 @@ Result<std::vector<float>> IdentityCodec::TryDecode(
         " bytes, want " + std::to_string(expected_dim) + " * 4");
   }
   std::vector<float> v(static_cast<size_t>(expected_dim));
-  if constexpr (wire::kHostIsLittleEndian) {
-    if (len != 0) std::memcpy(v.data(), data, len);
-  } else {
-    wire::ReaderView reader(data, len);
-    for (float& x : v) FEDADMM_RETURN_IF_ERROR(reader.TryF32(&x));
-  }
+  if (len != 0) std::memcpy(v.data(), data, len);
   return {std::move(v)};
 }
 

@@ -4,20 +4,20 @@
 /// Every codec payload, serve frame and checkpoint blob (the engine state,
 /// its completion events and the algorithm extras) is written with
 /// `Writer` and parsed with `ReaderView`, so `WireBytes()` accounting is
-/// exact by construction and the bytes are portable across hosts of the
-/// same endianness class. `ReaderView` returns Status on truncation
+/// exact by construction. `ReaderView` returns Status on truncation
 /// instead of aborting, so the same decoder serves in-process payloads,
 /// bytes that crossed a process/network boundary (src/serve) and bytes read
 /// back from disk, where a malformed input is an input, not a bug.
 ///
-/// On little-endian hosts the fixed-width paths are single memcpys (the
-/// per-byte shift loops remain as the big-endian fallback and the byte
-/// contract: tests/comm/wire_view_test.cc pins both against hardcoded
-/// little-endian sequences).
+/// The host must be little-endian (asserted below), so host order is wire
+/// order: fixed-width values and float arrays are copied as they sit in
+/// memory. tests/comm/wire_view_test.cc pins the bytes against hardcoded
+/// little-endian sequences.
 
 #ifndef FEDADMM_COMM_WIRE_H_
 #define FEDADMM_COMM_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -29,14 +29,10 @@
 
 namespace fedadmm::wire {
 
-// The host stores integers in wire order: fixed-width puts/gets are single
-// memcpys instead of per-byte shift loops (identical bytes either way).
-#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-inline constexpr bool kHostIsLittleEndian = true;
-#else
-inline constexpr bool kHostIsLittleEndian = false;
-#endif
+static_assert(std::endian::native == std::endian::little,
+              "codec payloads, serve frames, slab logs and checkpoints are "
+              "little-endian and written in host byte order: a big-endian "
+              "host is unsupported");
 
 /// \brief Appends fixed-width little-endian values to a byte buffer.
 class Writer {
@@ -53,27 +49,15 @@ class Writer {
   }
 
   void PutU32(uint32_t v) {
-    if constexpr (kHostIsLittleEndian) {
-      const size_t pos = out_->size();
-      out_->resize(pos + sizeof(v));
-      std::memcpy(out_->data() + pos, &v, sizeof(v));
-    } else {
-      for (int i = 0; i < 4; ++i) {
-        out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-      }
-    }
+    const size_t pos = out_->size();
+    out_->resize(pos + sizeof(v));
+    std::memcpy(out_->data() + pos, &v, sizeof(v));
   }
 
   void PutU64(uint64_t v) {
-    if constexpr (kHostIsLittleEndian) {
-      const size_t pos = out_->size();
-      out_->resize(pos + sizeof(v));
-      std::memcpy(out_->data() + pos, &v, sizeof(v));
-    } else {
-      for (int i = 0; i < 8; ++i) {
-        out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-      }
-    }
+    const size_t pos = out_->size();
+    out_->resize(pos + sizeof(v));
+    std::memcpy(out_->data() + pos, &v, sizeof(v));
   }
 
   void PutF32(float v) {
@@ -97,12 +81,8 @@ class Writer {
   /// A u64 float count, then the fp32 bit patterns.
   void PutFloats(std::span<const float> v) {
     PutU64(v.size());
-    if constexpr (kHostIsLittleEndian) {
-      if (!v.empty()) {
-        std::memcpy(Extend(v.size_bytes()), v.data(), v.size_bytes());
-      }
-    } else {
-      for (const float x : v) PutF32(x);
+    if (!v.empty()) {
+      std::memcpy(Extend(v.size_bytes()), v.data(), v.size_bytes());
     }
   }
 
@@ -141,60 +121,11 @@ class ReaderView {
     return Status::OK();
   }
 
-  Status TryU16(uint16_t* out) {
-    if (pos_ + 2 > len_) return Truncated();
-    *out = static_cast<uint16_t>(
-        static_cast<uint16_t>(data_[pos_]) |
-        (static_cast<uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return Status::OK();
-  }
-
-  Status TryU32(uint32_t* out) {
-    if (pos_ + 4 > len_) return Truncated();
-    uint32_t v = 0;
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(&v, data_ + pos_, sizeof(v));
-    } else {
-      for (int i = 0; i < 4; ++i) {
-        v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-      }
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status TryU64(uint64_t* out) {
-    if (pos_ + 8 > len_) return Truncated();
-    uint64_t v = 0;
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(&v, data_ + pos_, sizeof(v));
-    } else {
-      for (int i = 0; i < 8; ++i) {
-        v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-      }
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::OK();
-  }
-
-  Status TryF32(float* out) {
-    uint32_t bits = 0;
-    FEDADMM_RETURN_IF_ERROR(TryU32(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status TryF64(double* out) {
-    uint64_t bits = 0;
-    FEDADMM_RETURN_IF_ERROR(TryU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
+  Status TryU16(uint16_t* out) { return TryHost(out); }
+  Status TryU32(uint32_t* out) { return TryHost(out); }
+  Status TryU64(uint64_t* out) { return TryHost(out); }
+  Status TryF32(float* out) { return TryHost(out); }
+  Status TryF64(double* out) { return TryHost(out); }
 
   /// `Writer::PutString`'s layout.
   Status TryString(std::string* out) {
@@ -213,13 +144,9 @@ class ReaderView {
     // Divide, not multiply: a crafted count must not wrap the bound.
     if (count > remaining() / sizeof(float)) return Truncated();
     out->resize(count);
-    if constexpr (kHostIsLittleEndian) {
-      const size_t bytes = count * sizeof(float);
-      if (bytes != 0) std::memcpy(out->data(), data_ + pos_, bytes);
-      pos_ += bytes;
-    } else {
-      for (float& x : *out) FEDADMM_RETURN_IF_ERROR(TryF32(&x));
-    }
+    const size_t bytes = count * sizeof(float);
+    if (bytes != 0) std::memcpy(out->data(), data_ + pos_, bytes);
+    pos_ += bytes;
     return Status::OK();
   }
 
@@ -241,6 +168,14 @@ class ReaderView {
  private:
   static Status Truncated() {
     return Status::InvalidArgument("wire: truncated payload");
+  }
+
+  template <typename T>
+  Status TryHost(T* out) {
+    if (sizeof(T) > remaining()) return Truncated();
+    std::memcpy(out, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return Status::OK();
   }
 
   const uint8_t* data_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fedadmm {
@@ -16,12 +15,6 @@ int ClampThreads(int requested, int num_workers) {
   if (threads <= 0) threads = ThreadPool::DefaultNumThreads();
   threads = std::min(threads, num_workers);
   return std::max(threads, 1);
-}
-
-obs::Histogram* EventHist() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().histogram("client/event_seconds");
-  return hist;
 }
 
 }  // namespace
@@ -40,10 +33,9 @@ void ClientExecutor::RunWave(int wave, const std::vector<int>& clients,
   out->assign(clients.size(), UpdateMessage());
   auto run_client = [&](int idx, int worker) {
     const int client = clients[static_cast<size_t>(idx)];
-    // Per-event wall latency. A no-op (never reads the clock) unless
-    // metrics or a trace capture are on — the zero-perturbation contract
-    // of src/obs.
-    obs::TraceScope scope("client_event", "client", EventHist());
+    // Per-event wall span. A no-op (never reads the clock) unless a trace
+    // capture is on — the zero-perturbation contract of src/obs.
+    obs::TraceScope scope("client_event", "client");
     scope.set_arg("client", client);
     auto local = problem_->MakeLocalProblem(client, worker);
     // Per-(wave, client) stream: results do not depend on thread

@@ -1,6 +1,5 @@
 #include "fl/comm_pipeline.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -10,24 +9,6 @@ namespace {
 // Fork tags for the codec RNG streams (see the header on tag disjointness).
 constexpr uint64_t kUplinkCodecTag = 0x7C0DEC01;
 constexpr uint64_t kDownlinkCodecTag = 0x7C0DEC02;
-
-// Codec latency instruments (cached registry handles). Wire billing lives
-// in RoundRecord's byte columns.
-struct CommMetrics {
-  obs::Histogram* encode_uplink;
-  obs::Histogram* encode_downlink;
-};
-
-CommMetrics& Metrics() {
-  static CommMetrics* metrics = [] {
-    auto& registry = obs::MetricsRegistry::Global();
-    auto* m = new CommMetrics();
-    m->encode_uplink = registry.histogram("comm/encode_uplink_seconds");
-    m->encode_downlink = registry.histogram("comm/encode_downlink_seconds");
-    return m;
-  }();
-  return *metrics;
-}
 
 }  // namespace
 
@@ -39,7 +20,7 @@ DownlinkPlan CommPipeline::PrepareDownlink(int wave,
   plan.per_client_bytes = download_per_client_raw;
   if (downlink_ == nullptr) return plan;
 
-  obs::TraceScope scope("encode_downlink", "comm", Metrics().encode_downlink);
+  obs::TraceScope scope("encode_downlink", "comm");
   scope.set_arg("wave", wave);
   const int64_t raw_theta_bytes =
       static_cast<int64_t>(theta.size()) * static_cast<int64_t>(sizeof(float));
@@ -73,7 +54,7 @@ void CommPipeline::PredictUplinkBytes(
 
 void CommPipeline::EncodeUplink(int wave, UpdateMessage* msg) {
   if (uplink_ == nullptr) return;
-  obs::TraceScope scope("encode_uplink", "comm", Metrics().encode_uplink);
+  obs::TraceScope scope("encode_uplink", "comm");
   scope.set_arg("client", msg->client_id);
   Rng up_rng = master_.Fork(kUplinkCodecTag, static_cast<uint64_t>(wave),
                             static_cast<uint64_t>(msg->client_id));

@@ -10,7 +10,6 @@
 #include "comm/wire.h"
 #include "fl/history_csv.h"
 #include "fl/local_solver.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/checkpoint.h"
 #include "state/client_state_store.h"
@@ -62,25 +61,6 @@ int64_t BilledBytes(double fraction, int64_t per_client) {
   if (fraction >= 1.0) return per_client;
   return static_cast<int64_t>(
       std::llround(fraction * static_cast<double>(per_client)));
-}
-
-// Cached registry handles. The phase histograms are the engine's time
-// budget: select → dispatch (downlink + client wave) → aggregate (record +
-// server step) → finalize (eval + bookkeeping).
-struct EngineMetrics {
-  obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-  obs::Histogram* phase_select = r.histogram("server/phase/select_seconds");
-  obs::Histogram* phase_dispatch =
-      r.histogram("server/phase/dispatch_seconds");
-  obs::Histogram* phase_aggregate =
-      r.histogram("server/phase/aggregate_seconds");
-  obs::Histogram* phase_finalize =
-      r.histogram("server/phase/finalize_seconds");
-};
-
-EngineMetrics& Metrics() {
-  static EngineMetrics* metrics = new EngineMetrics();
-  return *metrics;
 }
 
 // Checkpoint ints (counts, ids, counters; all non-negative) travel as u32.
@@ -164,13 +144,15 @@ Result<History> ServerLoop::Run() {
         "removed); set serve::FrontendOptions::num_shards for serve-mode "
         "ingest workers");
   }
-  // Fail fast on a bad store spec: Setup can only CHECK.
+  // Fail fast on a bad store spec or an unopenable slab log: Setup can
+  // only CHECK.
   const std::string effective_store = config_.state_store.empty()
                                           ? algorithm_->DefaultStateStoreSpec()
                                           : config_.state_store;
   if (!effective_store.empty()) {
-    auto probe = MakeClientStateStore(effective_store);
-    if (!probe.ok()) return probe.status();
+    FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<ClientStateStore> probe,
+                             MakeClientStateStore(effective_store));
+    FEDADMM_RETURN_IF_ERROR(probe->Preflight());
   }
   if (!config_.checkpoint_path.empty()) {
     if (config_.checkpoint_every < 1) {
@@ -374,14 +356,13 @@ Result<History> ServerLoop::RunLoop() {
 }
 
 std::vector<int> ServerLoop::Select(int wave) {
-  obs::TraceScope scope("select", "engine", Metrics().phase_select);
+  obs::TraceScope scope("select", "engine");
   scope.set_arg("wave", wave);
   return selector_->Select(wave, &selection_rng_);
 }
 
 Status ServerLoop::DispatchWave(const std::vector<int>& clients, int wave) {
-  obs::TraceScope dispatch_scope("dispatch", "engine",
-                                 Metrics().phase_dispatch);
+  obs::TraceScope dispatch_scope("dispatch", "engine");
   dispatch_scope.set_arg("wave", wave);
   // θ is encoded once per wave; clients train on the decoded broadcast.
   const DownlinkPlan downlink = pipeline_.PrepareDownlink(
@@ -478,7 +459,7 @@ void ServerLoop::Admit(ClientCompletionEvent event) {
 }
 
 RoundRecord ServerLoop::Aggregate(int round) {
-  obs::TraceScope scope("aggregate", "engine", Metrics().phase_aggregate);
+  obs::TraceScope scope("aggregate", "engine");
   scope.set_arg("round", round);
   RoundRecord record;
   record.round = round;
@@ -528,7 +509,7 @@ RoundRecord ServerLoop::Aggregate(int round) {
 
 bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
                                 History* history) {
-  obs::TraceScope scope("finalize", "engine", Metrics().phase_finalize);
+  obs::TraceScope scope("finalize", "engine");
   scope.set_arg("round", record.round);
   const bool evaluate = record.round == config_.max_rounds - 1 ||
                         record.round % config_.eval_every == 0;

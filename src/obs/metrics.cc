@@ -106,58 +106,4 @@ HistogramStats Histogram::Stats() const {
   return stats_;
 }
 
-void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = HistogramStats();
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Histogram* MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return it->second.get();
-}
-
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snapshot;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, histogram] : histograms_) {
-    snapshot.histograms.emplace_back(name, histogram->Stats());
-  }
-  return snapshot;
-}
-
-void MetricsRegistry::ResetValues() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-HistogramStats MetricsSnapshot::AggregateHistograms(
-    std::string_view prefix) const {
-  HistogramStats merged;
-  for (const auto& [name, stats] : histograms) {
-    if (name.size() >= prefix.size() &&
-        std::string_view(name).substr(0, prefix.size()) == prefix) {
-      merged.MergeFrom(stats);
-    }
-  }
-  return merged;
-}
-
-std::string ShardLabel(std::string_view base, int shard) {
-  std::string name(base);
-  name += "{shard=";
-  name += std::to_string(shard);
-  name += '}';
-  return name;
-}
-
 }  // namespace fedadmm::obs

@@ -110,11 +110,10 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
   return Status::OK();
 }
 
-TraceScope::TraceScope(const char* name, const char* category,
-                       Histogram* histogram)
-    : name_(name), category_(category), histogram_(histogram) {
-  record_trace_ = TraceRecorder::Global().enabled();
-  active_ = record_trace_ || (histogram_ != nullptr && MetricsEnabled());
+TraceScope::TraceScope(const char* name, const char* category)
+    : name_(name),
+      category_(category),
+      active_(TraceRecorder::Global().enabled()) {
   if (active_) start_ = std::chrono::steady_clock::now();
 }
 
@@ -123,23 +122,18 @@ double TraceScope::Stop() {
   active_ = false;
   const auto end = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(end - start_).count();
-  if (histogram_ != nullptr && MetricsEnabled()) {
-    histogram_->Record(seconds);
-  }
-  if (record_trace_) {
-    TraceRecorder& recorder = TraceRecorder::Global();
-    TraceEvent event;
-    event.name = name_;
-    event.category = category_;
-    event.dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                       end - start_)
-                       .count();
-    event.ts_us = recorder.NowMicros() - event.dur_us;
-    event.tid = recorder.CurrentThreadIndex();
-    event.arg_name = arg_name_;
-    event.arg = arg_;
-    recorder.Record(event);
-  }
+  TraceRecorder& recorder = TraceRecorder::Global();
+  TraceEvent event;
+  event.name = name_;
+  event.category = category_;
+  event.dur_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
+          .count();
+  event.ts_us = recorder.NowMicros() - event.dur_us;
+  event.tid = recorder.CurrentThreadIndex();
+  event.arg_name = arg_name_;
+  event.arg = arg_;
+  recorder.Record(event);
   return seconds;
 }
 

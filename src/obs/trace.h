@@ -2,19 +2,18 @@
 /// \brief Profiling spans: RAII `TraceScope` and a chrome://tracing
 /// recorder.
 ///
-/// Two sinks share one instrumentation point. A `TraceScope` placed
-/// around an engine phase
+/// A `TraceScope` placed around an engine phase appends a complete
+/// ("ph":"X") event to the global `TraceRecorder` while a trace capture is
+/// running, loadable in chrome://tracing or https://ui.perfetto.dev for
+/// flame-style inspection of one simulation. Spans are the only timing
+/// sink inside the engine; a latency with its own reader is kept by the
+/// component that measures it (the serve frontend's ingest histograms,
+/// obs/metrics.h).
 ///
-///   * records its wall duration into a registry `Histogram` (when metrics
-///     are enabled),
-///   * and appends a complete ("ph":"X") event to the global
-///     `TraceRecorder` (when a trace capture is running), loadable in
-///     chrome://tracing or https://ui.perfetto.dev for flame-style
-///     inspection of one simulation.
-///
-/// When no sink is interested the scope never reads the clock — the
-/// zero-perturbation contract of obs/metrics.h extends to tracing. The
-/// per-round trace is not a span sink: `SimulationConfig::round_trace_path`
+/// With no capture running the scope never reads the clock, and spans
+/// never touch RNG streams or float math on the training path, so tracing
+/// leaves trajectories bitwise unchanged (tests/obs/obs_equivalence_test.cc).
+/// The per-round trace is not a span sink: `SimulationConfig::round_trace_path`
 /// streams `RoundRecord`s in the history-CSV schema (fl/history_csv.h).
 
 #ifndef FEDADMM_OBS_TRACE_H_
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace fedadmm::obs {
@@ -92,14 +90,12 @@ class TraceRecorder {
   std::atomic<bool> enabled_{false};
 };
 
-/// \brief RAII wall-clock span feeding histogram + trace recorder.
+/// \brief RAII wall-clock span feeding the trace recorder.
 ///
-/// Inactive (never reads the clock) unless metrics are enabled with a
-/// histogram attached, or a trace capture is running.
+/// Inactive (never reads the clock) unless a trace capture is running.
 class TraceScope {
  public:
-  explicit TraceScope(const char* name, const char* category = "engine",
-                      Histogram* histogram = nullptr);
+  explicit TraceScope(const char* name, const char* category = "engine");
   ~TraceScope();
 
   TraceScope(const TraceScope&) = delete;
@@ -118,11 +114,9 @@ class TraceScope {
  private:
   const char* name_;
   const char* category_;
-  Histogram* histogram_;
   const char* arg_name_ = nullptr;
   int64_t arg_ = -1;
   bool active_;
-  bool record_trace_;
   std::chrono::steady_clock::time_point start_{};
 };
 

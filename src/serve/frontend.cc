@@ -58,15 +58,8 @@ Status Frontend::StartServing(int num_clients, int64_t dim) {
   num_clients_ = num_clients;
   dim_ = dim;
 
-  ingest_histograms_.assign(static_cast<size_t>(options_.num_shards),
-                            nullptr);
-  if (obs::MetricsEnabled()) {
-    for (int s = 0; s < options_.num_shards; ++s) {
-      ingest_histograms_[static_cast<size_t>(s)] =
-          obs::MetricsRegistry::Global().histogram(
-              obs::ShardLabel("serve/ingest_seconds", s));
-    }
-  }
+  ingest_latency_ =
+      std::vector<obs::Histogram>(static_cast<size_t>(options_.num_shards));
 
   stop_workers_.store(false, std::memory_order_release);
   queues_.clear();
@@ -200,6 +193,14 @@ FrontendLedger Frontend::ledger() const {
   ledger.bytes_in = cells_.bytes_in.load();
   ledger.peak_sessions = cells_.peak_sessions.load();
   return ledger;
+}
+
+obs::HistogramStats Frontend::ingest_latency() const {
+  obs::HistogramStats merged;
+  for (const obs::Histogram& worker : ingest_latency_) {
+    merged.MergeFrom(worker.Stats());
+  }
+  return merged;
 }
 
 Frontend::SessionState* Frontend::SessionFor(Connection* conn) {
@@ -533,7 +534,7 @@ Status Frontend::DecodeItem(const ShardItem& item, UpdateMessage* msg) const {
 
 void Frontend::WorkerLoop(int shard) {
   IngestQueue<ShardItem>& queue = *queues_[static_cast<size_t>(shard)];
-  obs::Histogram* histogram = ingest_histograms_[static_cast<size_t>(shard)];
+  obs::Histogram& latency = ingest_latency_[static_cast<size_t>(shard)];
   ShardItem item;
   while (queue.PopWait(&item, stop_workers_)) {
     UpdateMessage msg;
@@ -554,9 +555,6 @@ void Frontend::WorkerLoop(int shard) {
       item = ShardItem();
       continue;
     }
-    if (histogram != nullptr) {
-      histogram->Record(NowSeconds() - item.enqueue_seconds);
-    }
     switch (item.ack.status) {
       case AckStatus::kAccepted:
         cells_.acks_accepted.fetch_add(1);
@@ -572,6 +570,9 @@ void Frontend::WorkerLoop(int shard) {
     }
     (void)item.conn->SendFrame(std::make_shared<const std::vector<uint8_t>>(
         BuildAckFrame(item.ack)));
+    // Recorded before the slot resolves, so a collected wave is complete
+    // in ingest_latency().
+    latency.Record(NowSeconds() - item.enqueue_seconds);
     {
       std::lock_guard<std::mutex> lock(state.mutex);
       state.slots[item.slot] = std::move(msg);

@@ -148,6 +148,12 @@ class Frontend : public FrameSink, public IngestSource {
   /// Snapshot of the ledger.
   FrontendLedger ledger() const;
 
+  /// Wall seconds from admission to wave-slot resolution of every decoded
+  /// upload, merged over the ingest workers (each records its own). A
+  /// collected wave's uploads are all in it by the time `CollectWave`
+  /// returns. Informational: it depends on real-time interleaving.
+  obs::HistogramStats ingest_latency() const;
+
  private:
   /// One wave's collection state. Shard items pin it via shared_ptr, so a
   /// straggling worker resolves into the right (possibly superseded) wave.
@@ -192,7 +198,7 @@ class Frontend : public FrameSink, public IngestSource {
     UpdateBody body;
     Connection* conn = nullptr;
     std::shared_ptr<RoundState> state;
-    /// Steady-clock seconds at admission (ingest latency histogram).
+    /// Steady-clock seconds at admission (`ingest_latency`).
     double enqueue_seconds = 0.0;
   };
 
@@ -260,8 +266,8 @@ class Frontend : public FrameSink, public IngestSource {
   };
   mutable Cells cells_;
 
-  // Per-shard ingest latency histograms (null when metrics are off).
-  std::vector<obs::Histogram*> ingest_histograms_;
+  // Per-worker ingest latency (see ingest_latency()).
+  std::vector<obs::Histogram> ingest_latency_;
 
   /// Raw fp32 is the identity codec's wire format: it encodes the
   /// uncompressed MODEL frame and decodes uploads when no codec is set.

@@ -75,6 +75,13 @@ class ClientStateStore {
   /// any view. `slots[s].init` is the shared initial value of slot s.
   virtual void Configure(int num_clients, std::vector<StateSlotSpec> slots) = 0;
 
+  /// Tries what `Configure` needs from outside the process and returns the
+  /// error `Configure` would abort on: the tiered backend opens (creating
+  /// or truncating) its slab log. The engine's pre-flight calls it on a
+  /// probe store, so a bad path is refused before round 0. In-memory
+  /// backends have nothing to try.
+  virtual Status Preflight() { return Status::OK(); }
+
   /// Read-only view of `(client_id, slot)`. Untouched clients see the
   /// slot's initial value; no backend materializes on read. (Logically
   /// const: the tiered backend may fault the slab into its pool.)

@@ -39,6 +39,11 @@ std::string TieredStateStore::name() const {
   return "tiered:" + options_.capacity_token + ":" + options_.path;
 }
 
+Status TieredStateStore::Preflight() {
+  // Configure's open; the destructor removes the file again.
+  return SlabLog::Open(options_.path, /*truncate=*/true).status();
+}
+
 void TieredStateStore::Configure(int num_clients,
                                  std::vector<StateSlotSpec> specs) {
   std::lock_guard<std::mutex> lock(mu_);

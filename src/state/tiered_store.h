@@ -70,6 +70,7 @@ class TieredStateStore final : public ClientStateStore {
   std::string name() const override;
 
   void Configure(int num_clients, std::vector<StateSlotSpec> slots) override;
+  Status Preflight() override;
   std::span<const float> View(int client_id, int slot) const override;
   std::span<float> MutableView(int client_id, int slot) override;
   void Release(int client_id) const override;

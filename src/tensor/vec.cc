@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
 #include "util/status.h"
@@ -13,12 +12,6 @@
 
 namespace fedadmm::vec {
 namespace {
-
-obs::Histogram* AxpyManyHist() {
-  static obs::Histogram* hist =
-      obs::MetricsRegistry::Global().histogram("vec/axpy_many_seconds");
-  return hist;
-}
 
 /// Runs `body(begin, end)` over [0, n) in kReduceBlock-sized blocks,
 /// serially or across `pool`. Boundaries depend only on n.
@@ -110,7 +103,7 @@ void AxpyMany(float alpha, const std::vector<std::span<const float>>& xs,
               std::span<float> y, ThreadPool* pool) {
   for (const auto& x : xs) FEDADMM_CHECK(x.size() == y.size());
   if (xs.empty()) return;
-  obs::TraceScope scope("axpy_many", "vec", AxpyManyHist());
+  obs::TraceScope scope("axpy_many", "vec");
   scope.set_arg("vectors", static_cast<int64_t>(xs.size()));
   const simd::KernelTable& k = simd::ActiveKernels();
   ForEachBlock(y.size(), pool, [&](size_t begin, size_t end) {

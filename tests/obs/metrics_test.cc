@@ -1,6 +1,5 @@
-// Metrics registry math: exact-rank percentile semantics at bucket edges,
-// empty/single-sample degenerate cases, per-shard histogram merging, and
-// registry handle stability.
+// Histogram math: exact-rank percentile semantics at bucket edges,
+// empty/single-sample degenerate cases, and per-worker histogram merging.
 
 #include "obs/metrics.h"
 
@@ -133,59 +132,6 @@ TEST(HistogramTest, MergeWithEmptyIsIdentity) {
   empty.MergeFrom(h.Stats());
   EXPECT_EQ(empty.count, 1);
   EXPECT_DOUBLE_EQ(empty.Percentile(50), 0.5);
-}
-
-TEST(MetricsRegistryTest, HandlesAreStableAcrossReset) {
-  MetricsRegistry registry;
-  Histogram* a = registry.histogram("a/seconds");
-  Histogram* b = registry.histogram("b/seconds");
-  a->Record(0.1);
-  b->Record(0.2);
-  b->Record(0.3);
-  registry.ResetValues();
-  // Same pointers, zeroed contents.
-  EXPECT_EQ(registry.histogram("a/seconds"), a);
-  EXPECT_EQ(registry.histogram("b/seconds"), b);
-  EXPECT_EQ(a->Stats().count, 0);
-  EXPECT_EQ(b->Stats().count, 0);
-}
-
-TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
-  MetricsRegistry registry;
-  registry.histogram("z")->Record(0.1);
-  registry.histogram("a")->Record(0.2);
-  registry.histogram("m")->Record(0.3);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.histograms.size(), 3u);
-  EXPECT_EQ(snapshot.histograms[0].first, "a");
-  EXPECT_EQ(snapshot.histograms[1].first, "m");
-  EXPECT_EQ(snapshot.histograms[2].first, "z");
-  EXPECT_DOUBLE_EQ(snapshot.histograms[0].second.sum, 0.2);
-}
-
-TEST(MetricsRegistryTest, AggregateHistogramsMergesShardInstances) {
-  MetricsRegistry registry;
-  registry.histogram(ShardLabel("client/event_seconds", 0))->Record(1e-5);
-  registry.histogram(ShardLabel("client/event_seconds", 1))->Record(1e-3);
-  registry.histogram("other/seconds")->Record(1e2);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramStats fleet =
-      snapshot.AggregateHistograms("client/event_seconds");
-  EXPECT_EQ(fleet.count, 2);
-  EXPECT_DOUBLE_EQ(fleet.min, 1e-5);
-  EXPECT_DOUBLE_EQ(fleet.max, 1e-3);
-}
-
-TEST(MetricsRegistryTest, ShardLabelSpelling) {
-  EXPECT_EQ(ShardLabel("client/event_seconds", 3),
-            "client/event_seconds{shard=3}");
-}
-
-TEST(MetricsRegistryTest, DisabledByDefault) {
-  MetricsRegistry registry;
-  EXPECT_FALSE(registry.enabled());
-  registry.set_enabled(true);
-  EXPECT_TRUE(registry.enabled());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The zero-perturbation contract: the obs rail only *reads* clocks, so
-// enabling metrics, the trace recorder, and the round trace must leave the
-// training trajectory bitwise identical to a run with everything off.
+// enabling the trace recorder and the round trace must leave the training
+// trajectory bitwise identical to a run with everything off.
 // Mirrors the idiom of tests/fl/deterministic_replay_test.cc.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "fl/selection.h"
 #include "fl/simulation.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fedadmm {
@@ -62,35 +61,6 @@ std::string ReadAll(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-// RAII guard: flips the global metrics flag on and restores off, so a
-// failing assertion cannot leak an enabled registry into other tests.
-class MetricsOn {
- public:
-  MetricsOn() { obs::MetricsRegistry::Global().set_enabled(true); }
-  ~MetricsOn() { obs::MetricsRegistry::Global().set_enabled(false); }
-};
-
-TEST(ObsEquivalenceTest, MetricsEnabledIsBitwiseInvisible) {
-  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
-  const std::vector<float> baseline = RunTheta(7, 3, 8);
-  std::vector<float> observed;
-  {
-    MetricsOn on;
-    obs::MetricsRegistry::Global().ResetValues();
-    observed = RunTheta(7, 3, 8);
-  }
-  EXPECT_EQ(baseline, observed);
-  // The run actually hit the instrumented paths: phase histograms filled.
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Global().Snapshot();
-  const obs::HistogramStats aggregate =
-      snapshot.AggregateHistograms("server/phase/aggregate_seconds");
-  EXPECT_EQ(aggregate.count, 8);
-  const obs::HistogramStats events =
-      snapshot.AggregateHistograms("client/event_seconds");
-  EXPECT_GT(events.count, 0);
 }
 
 TEST(ObsEquivalenceTest, TraceRecorderIsBitwiseInvisible) {

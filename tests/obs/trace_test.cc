@@ -27,33 +27,9 @@ std::string TempPath(const char* name) {
 }
 
 TEST(TraceScopeTest, InactiveWithoutAnySink) {
-  ASSERT_FALSE(MetricsRegistry::Global().enabled());
   ASSERT_FALSE(TraceRecorder::Global().enabled());
   TraceScope scope("noop", "test");
   EXPECT_EQ(scope.Stop(), 0.0);
-}
-
-TEST(TraceScopeTest, FeedsHistogramWhenMetricsEnabled) {
-  MetricsRegistry registry;  // private registry: no global state leaks
-  Histogram* hist = registry.histogram("scope_seconds");
-  {
-    // The scope consults the GLOBAL enabled flag; flip it around the span.
-    MetricsRegistry::Global().set_enabled(true);
-    TraceScope scope("span", "test", hist);
-    scope.Stop();
-    MetricsRegistry::Global().set_enabled(false);
-  }
-  EXPECT_EQ(hist->Stats().count, 1);
-}
-
-TEST(TraceScopeTest, SkipsHistogramWhenMetricsDisabled) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.histogram("scope_seconds");
-  ASSERT_FALSE(MetricsRegistry::Global().enabled());
-  {
-    TraceScope scope("span", "test", hist);
-  }
-  EXPECT_EQ(hist->Stats().count, 0);
 }
 
 TEST(TraceRecorderTest, CapturesScopesAndWritesChromeTrace) {

@@ -5,7 +5,7 @@
 // ways + deadline-drop stragglers over two ingest workers; SCAFFOLD's
 // two-payload uploads with and without a codec) and for real TCP via
 // SocketTransport, plus double-run determinism of the frontend's byte
-// ledger.
+// ledger and an ingest latency sample for every acknowledged upload.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
+#include "obs/metrics.h"
 #include "serve/frontend.h"
 #include "serve/loadgen.h"
 #include "serve/loopback.h"
@@ -74,6 +75,7 @@ struct RunResult {
   std::vector<float> theta;
   History history;
   FrontendLedger ledger;  // zero-initialized for in-process runs
+  obs::HistogramStats ingest_latency;  // empty for in-process runs
 };
 
 SimulationConfig Config() {
@@ -169,6 +171,7 @@ RunResult RunServed(const RunSpec& setup, Transport* transport) {
   if (history.ok()) result.history = std::move(*history);
   result.theta = sim.theta();
   result.ledger = frontend.ledger();
+  result.ingest_latency = frontend.ingest_latency();
   transport->Stop();
   return result;
 }
@@ -197,10 +200,8 @@ void ExpectIdenticalRuns(const RunResult& served, const RunResult& local) {
 TEST(FrontendEquivalenceTest, LoopbackFedAvgQuantizedWithStragglers) {
   // The full stack: q8 uplink + q8 downlink, deadline-drop admission
   // mirrored into ACKs, two ingest workers.
-  RunSpec setup;
-  setup.uplink_spec = "q8";
-  setup.downlink_spec = "q8";
-  setup.system_model = true;
+  const RunSpec setup{
+      .uplink_spec = "q8", .downlink_spec = "q8", .system_model = true};
   const RunResult local = RunInProcess(setup);
   LoopbackTransport transport;
   const RunResult served = RunServed(setup, &transport);
@@ -212,6 +213,11 @@ TEST(FrontendEquivalenceTest, LoopbackFedAvgQuantizedWithStragglers) {
   // Sessions are created lazily, so only ever-selected clients HELLO.
   EXPECT_GT(served.ledger.hello_count, 0);
   EXPECT_LE(served.ledger.hello_count, kClients);
+  // Every acknowledged upload left one ingest latency sample.
+  EXPECT_EQ(served.ingest_latency.count, served.ledger.acks_accepted +
+                                             served.ledger.acks_partial +
+                                             served.ledger.acks_rejected);
+  EXPECT_GE(served.ingest_latency.min, 0.0);
 }
 
 TEST(FrontendEquivalenceTest, LoopbackScaffoldTwoPayloadsRaw) {

@@ -3,8 +3,8 @@
 // round churns through the slab log) replay the trajectories of the retired
 // eager-arena backend bitwise — pinned as digests — on seeded FedADMM +
 // FedPD + SCAFFOLD runs, across thread counts; `lazy` resident bytes track
-// the touched population; and every bad store spec is a Status, never an
-// abort.
+// the touched population; and every bad store spec or unopenable slab log
+// is a Status, never an abort.
 
 #include <gtest/gtest.h>
 
@@ -241,6 +241,30 @@ TEST(StateStoreConfigTest, BadAlgorithmDefaultSpecAlsoFailsFast) {
                                            "'quantized:20'"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(StateStoreConfigTest, UnopenableTieredLogFailsBeforeRoundZero) {
+  // The spec parses, but its slab log cannot be created: Run returns the
+  // open's IoError before round 0 instead of Setup aborting.
+  QuadraticProblem problem(Spec());
+  FedAdmmOptions options;
+  options.eta_active_fraction = true;
+  FedAdmm algo(options);
+  UniformFractionSelector selector(kClients, 0.5);
+  SimulationConfig config;
+  config.max_rounds = 2;
+  const std::string path =
+      ::testing::TempDir() + "store_equiv_missing_dir/state.slab";
+  config.state_store = "tiered:4f:" + path;
+  Simulation sim(&problem, &algo, &selector, config);
+  int rounds = 0;
+  sim.set_observer([&rounds](const RoundRecord&) { ++rounds; });
+  const auto result = sim.Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find(path), std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(rounds, 0);
 }
 
 // Specs that must be refused with InvalidArgument, for the named reason,

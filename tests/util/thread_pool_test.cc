@@ -79,7 +79,7 @@ TEST(ThreadPoolTest, UnevenWorkloadsComplete) {
   pool.ParallelFor(32, [&done](int i, int) {
     // Simulated variable work (the heterogeneity pattern in the simulator).
     volatile double x = 0;
-    for (int k = 0; k < (i % 7) * 10000; ++k) x += k;
+    for (int k = 0; k < (i % 7) * 10000; ++k) x = x + k;
     done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 32);
