@@ -432,6 +432,23 @@ void BM_RngForkDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngForkDraw);
 
+// A mean-field problem's per-client target fill: a (tag, client) fork and
+// d Normal(0, 1.5) draws into a float buffer.
+void BM_RngFillNormal(benchmark::State& state) {
+  const Rng master(101);
+  std::vector<float> target(static_cast<size_t>(state.range(0)));
+  double spread = 1.5;
+  benchmark::DoNotOptimize(spread);
+  uint64_t client = 0;
+  for (auto _ : state) {
+    Rng rng = master.Fork(0x7A46E7, client++);
+    for (float& v : target) v = static_cast<float>(rng.Normal(0.0, spread));
+    benchmark::DoNotOptimize(target.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RngFillNormal)->Arg(256);
+
 // fleet-buffered's event refill: k of m clients without replacement. One
 // untimed draw first sizes the sampling thread's retained array.
 void BM_SampleWithoutReplacement(benchmark::State& state) {

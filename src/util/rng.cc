@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <numeric>
 #include <ostream>
 #include <random>
 #include <sstream>
+
+// libstdc++ checks its distributions' parameters only under
+// _GLIBCXX_ASSERTIONS. The in-house samplers make the same checks in the
+// same builds, so a Release draw aborts nowhere libstdc++'s would not.
+#if defined(_GLIBCXX_ASSERTIONS)
+#define FEDADMM_RNG_CHECK_PARAM(expr, msg) FEDADMM_CHECK_MSG(expr, msg)
+#else
+#define FEDADMM_RNG_CHECK_PARAM(expr, msg) static_cast<void>(0)
+#endif
 
 namespace fedadmm {
 
@@ -15,6 +25,19 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+double CanonicalDouble(uint64_t word) {
+  // libstdc++ computes double(word) / 2⁶⁴. The sum of the word's exact
+  // 32-bit halves rounds once, to the value GCC's conversion gives, without
+  // that conversion's branch on the top bit; the scaling is exact.
+  const double high =
+      static_cast<double>(static_cast<uint32_t>(word >> 32)) * 0x1p32;
+  const double low = static_cast<double>(static_cast<uint32_t>(word));
+  const double u = (high + low) * 0x1p-64;
+  // Words from 2⁶⁴ − 1024 up round to 2⁶⁴.
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;  // nextafter(1, 0)
+  return u < 1.0 ? u : kBelowOne;
 }
 
 Mt19937_64::Mt19937_64(result_type seed) {
@@ -29,24 +52,35 @@ void Mt19937_64::Twist() {
   constexpr size_t kShift = 156;                          // m
   constexpr result_type kUpper = ~result_type{0} << 31;   // upper w − r bits
   constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;  // a
-  // y's low bit selects the matrix through a mask, never a branch.
-  const auto twisted = [](result_type upper, result_type lower) {
-    const result_type y = (upper & kUpper) | (lower & ~kUpper);
+  // y's low bit selects the matrix through a mask, never a branch. The same
+  // expression twists one word or a vector of two.
+  const auto twisted = [](auto upper, auto lower) {
+    const auto y = (upper & kUpper) | (lower & ~kUpper);
     return (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
   };
+  // x[k] and x[k+1] together, in a 16-byte vector: SSE2 on x86-64, NEON on
+  // AArch64. Word k+1 reads x[k+2] before the next step overwrites it.
+  typedef result_type Pair __attribute__((vector_size(16)));
+  const auto load = [](const result_type* p) {
+    Pair v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  };
   result_type* x = x_.data();
-  result_type cur = x[0];
-  for (size_t k = 0; k < kStateSize - kShift; ++k) {
-    const result_type next = x[k + 1];
-    x[k] = x[k + kShift] ^ twisted(cur, next);
-    cur = next;
+  size_t k = 0;
+  for (; k < kStateSize - kShift; k += 2) {
+    const Pair out =
+        load(x + k + kShift) ^ twisted(load(x + k), load(x + k + 1));
+    std::memcpy(x + k, &out, sizeof(out));
   }
-  for (size_t k = kStateSize - kShift; k < kStateSize - 1; ++k) {
-    const result_type next = x[k + 1];
-    x[k] = x[k + kShift - kStateSize] ^ twisted(cur, next);
-    cur = next;
+  for (; k < kStateSize - 2; k += 2) {
+    const Pair out =
+        load(x + k - kShift) ^ twisted(load(x + k), load(x + k + 1));
+    std::memcpy(x + k, &out, sizeof(out));
   }
-  x[kStateSize - 1] = x[kShift - 1] ^ twisted(cur, x[0]);
+  // The last two words: the second reads the new x[0].
+  x[k] = x[k - kShift] ^ twisted(x[k], x[k + 1]);
+  x[k + 1] = x[k + 1 - kShift] ^ twisted(x[k + 1], x[0]);
   pos_ = 0;
 }
 
@@ -77,20 +111,33 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return dist(engine_);
 }
 
+// The double samplers below are libstdc++'s, operation for operation, on
+// CanonicalDouble.
+
 double Rng::Uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  FEDADMM_RNG_CHECK_PARAM(lo <= hi, "Uniform requires lo <= hi");
+  return CanonicalDouble(engine_()) * (hi - lo) + lo;
 }
 
 double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  FEDADMM_RNG_CHECK_PARAM(stddev > 0.0, "Normal requires stddev > 0");
+  // Marsaglia's polar method. A fresh std::normal_distribution keeps x·mult
+  // for a next call that never comes, so it is not computed.
+  double x, y, r2;
+  do {
+    x = 2.0 * CanonicalDouble(engine_()) - 1.0;
+    y = 2.0 * CanonicalDouble(engine_()) - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+  return y * mult * stddev + mean;
 }
 
 bool Rng::Bernoulli(double p) {
   p = std::clamp(p, 0.0, 1.0);
-  std::bernoulli_distribution dist(p);
-  return dist(engine_);
+  FEDADMM_RNG_CHECK_PARAM(p >= 0.0 && p <= 1.0,
+                          "Bernoulli requires p in [0, 1]");
+  return CanonicalDouble(engine_()) < p;
 }
 
 Result<std::vector<int>> Rng::SampleWithoutReplacement(int n, int k) {
@@ -114,9 +161,14 @@ Result<std::vector<int>> Rng::SampleWithoutReplacement(int n, int k) {
   // out[i] holds swap target j_i until the undo pass replaces it with pick
   // i. Later swaps touch only positions > i, so pool[i] still holds pick i
   // when the undo pass reaches it. The targets do not depend on the array,
-  // so all are drawn first and the swaps' cache misses overlap.
+  // so all are drawn first, in one loop, and the swaps' cache misses
+  // overlap. Each is the draw UniformInt(i, n − 1) would make.
   std::vector<int> out(k);
-  for (int i = 0; i < k; ++i) out[i] = static_cast<int>(UniformInt(i, n - 1));
+  std::uniform_int_distribution<int64_t> target;
+  using Range = std::uniform_int_distribution<int64_t>::param_type;
+  for (int i = 0; i < k; ++i) {
+    out[i] = static_cast<int>(target(engine_, Range(i, n - 1)));
+  }
   for (int i = 0; i < k; ++i) std::swap(pool[i], pool[out[i]]);
   for (int i = k - 1; i >= 0; --i) {
     const int j = out[i];

@@ -7,6 +7,13 @@
 /// achieved by *forking*: a parent generator derives independent child
 /// generators from a stream id (e.g. `Fork(round, client_id)`), so the
 /// sequence a client sees does not depend on execution order.
+///
+/// `Uniform`, `Normal` and `Bernoulli` reproduce libstdc++'s `<random>`
+/// arithmetic as GCC 12 ships it, so their draws no longer depend on later
+/// libstdc++ releases (`UniformInt` and `Dirichlet` still draw through
+/// `<random>`). rng.cc must stay at the baseline ISA: with `-mfma`, GCC 12
+/// contracts `a*b + c` into an FMA even under `-std=c++20`, which would
+/// change bits.
 
 #ifndef FEDADMM_UTIL_RNG_H_
 #define FEDADMM_UTIL_RNG_H_
@@ -25,6 +32,11 @@ namespace fedadmm {
 /// \brief SplitMix64 mix function; used to derive fork seeds.
 uint64_t SplitMix64(uint64_t x);
 
+/// \brief `std::generate_canonical<double, 53>` of one 64-bit engine word,
+/// as libstdc++ computes it: x / 2⁶⁴ correctly rounded, with a result that
+/// rounds up to 1 clamped to `nextafter(1, 0)`.
+double CanonicalDouble(uint64_t word);
+
 /// \brief MT19937-64, bit-identical to `std::mt19937_64`.
 ///
 /// Same parameters, seeding (x₀ = seed,
@@ -34,11 +46,13 @@ uint64_t SplitMix64(uint64_t x);
 /// the standard engine's. It is in-house for its twist only: GCC 12's
 /// libstdc++ compiles `(y & 1) ? a : 0` into a conditional jump on a
 /// random bit, which mispredicts half the time. This twist computes
-/// `(0 − (y & 1)) & a` and carries x[k+1] in a register. On a shared
-/// 4-vCPU Xeon at 2.1 GHz (AVX2, GCC 12.2, Release, no `-mavx2`) a draw
-/// costs 4.4–5.3 ns against the standard engine's 10.9–11.5 ns, and a
-/// fork plus one `UniformInt` (seeding and one twist, `BM_RngForkDraw`)
-/// 1.2–1.7 µs against 2.7–4.0 µs.
+/// `(0 − (y & 1)) & a`, two words per step in a 16-byte vector (SSE2 on
+/// x86-64, NEON on AArch64, no ISA flag). On a shared 4-vCPU Xeon at
+/// 2.1 GHz (AVX2, GCC 12.2, Release, no `-mavx2`) a draw costs 3.7–4.0 ns,
+/// against 4.8–5.7 ns for a one-word branch-free twist and 10.9–11.5 ns
+/// for the standard engine, and a fork plus one `UniformInt` (seeding and
+/// one twist, `BM_RngForkDraw`) 1.1–1.2 µs, against 1.3–1.8 µs and
+/// 2.7–4.0 µs.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
@@ -95,13 +109,15 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// Uniform real in [lo, hi).
+  /// Uniform real in [lo, hi): `std::uniform_real_distribution`'s value.
   double Uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Normal sample: N(mean, stddev^2).
+  /// Normal sample N(mean, stddev²): a fresh `std::normal_distribution`'s
+  /// value (Marsaglia's polar method; the second variate is discarded).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Bernoulli trial with success probability `p` (clamped to [0,1]).
+  /// Bernoulli trial with success probability `p` (clamped to [0,1]):
+  /// `std::bernoulli_distribution`'s value.
   bool Bernoulli(double p);
 
   /// Fisher–Yates shuffle of `v`.

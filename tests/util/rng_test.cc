@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -13,6 +14,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "fl/digest.h"
 
 namespace fedadmm {
 namespace {
@@ -392,6 +395,139 @@ TEST(RngTest, SamplersMatchStdDistributionsOnStdEngine) {
   }
 }
 
+// memcmp, not ==: the samplers must agree on every bit, the sign of a zero
+// included.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(RngTest, DoubleSamplersMatchStdDistributionsBitwise) {
+  struct Params {
+    double a;
+    double b;
+  };
+  // (mean, stddev) and [lo, hi) pairs; the last Uniform range is empty.
+  constexpr Params kNormal[] = {{0.0, 1.0}, {0.0, 1.5}, {0.5, 2.0},
+                                {-3.0, 1e-3}};
+  constexpr Params kUniform[] = {{0.0, 1.0}, {-2.0, 3.0}, {1e-3, 1e3},
+                                 {5.0, 5.0}};
+  constexpr double kBernoulli[] = {0.0, 0.25, 0.5, 1.0 - 1e-12, 1.0};
+  int mismatched_seeds = 0;
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 reference = ReferenceEngineOf(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 10000; ++i) {
+      const Params& n = kNormal[i % 4];
+      const Params& u = kUniform[i % 4];
+      const double p = kBernoulli[i % 5];
+      mismatches += !SameBits(
+          rng.Normal(n.a, n.b),
+          std::normal_distribution<double>(n.a, n.b)(reference));
+      mismatches += !SameBits(
+          rng.Uniform(u.a, u.b),
+          std::uniform_real_distribution<double>(u.a, u.b)(reference));
+      mismatches +=
+          rng.Bernoulli(p) != std::bernoulli_distribution(p)(reference);
+    }
+    if (mismatches > 0) ++mismatched_seeds;
+  }
+  EXPECT_EQ(mismatched_seeds, 0);
+}
+
+#if !defined(_GLIBCXX_ASSERTIONS)
+TEST(RngTest, UncheckedParametersMatchStdWithoutAssertions) {
+  // Without the libstdc++ assertions neither side checks its parameters:
+  // no abort, and the same arithmetic on them.
+  const double nan = std::nan("");
+  Rng rng(9);
+  std::mt19937_64 reference = ReferenceEngineOf(9);
+  int mismatches = 0;
+  for (int i = 0; i < 1000; ++i) {
+    mismatches += !SameBits(
+        rng.Normal(1.0, 0.0),
+        std::normal_distribution<double>(1.0, 0.0)(reference));
+    mismatches += !SameBits(
+        rng.Normal(1.0, -2.0),
+        std::normal_distribution<double>(1.0, -2.0)(reference));
+    mismatches += !SameBits(
+        rng.Uniform(3.0, -1.0),
+        std::uniform_real_distribution<double>(3.0, -1.0)(reference));
+    mismatches += rng.Bernoulli(nan) !=
+                  std::bernoulli_distribution(std::clamp(nan, 0.0, 1.0))(
+                      reference);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+#endif
+
+// An engine that returns one fixed word, to feed std::generate_canonical.
+struct FixedWordEngine {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+TEST(RngTest, CanonicalDoubleMatchesStdAtConversionEdges) {
+  constexpr uint64_t k53 = uint64_t{1} << 53;
+  constexpr uint64_t k63 = uint64_t{1} << 63;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // 2⁶⁴ − 1025 rounds down to the largest double below 2⁶⁴; 2⁶⁴ − 1024 (a
+  // tie, to even) and 2⁶⁴ − 1 round to 2⁶⁴ and hit the clamp, which random
+  // draws reach with probability 2⁻⁵⁴.
+  for (const uint64_t word : {uint64_t{0}, uint64_t{1}, k53 - 1, k53 + 1,
+                              k63 - 1, k63, k63 + 1, kMax - 1024, kMax - 1023,
+                              kMax}) {
+    FixedWordEngine engine{word};
+    EXPECT_TRUE(SameBits(CanonicalDouble(word),
+                         std::generate_canonical<double, 53>(engine)))
+        << word;
+  }
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_TRUE(SameBits(CanonicalDouble(kMax - 1024), below_one));
+  EXPECT_TRUE(SameBits(CanonicalDouble(kMax - 1023), below_one));
+  EXPECT_TRUE(SameBits(CanonicalDouble(kMax), below_one));
+}
+
+// One seed's draws from every sampler, interleaved, so the twist falls at a
+// different point of each sampler from seed to seed.
+void DigestSamplers(uint64_t seed, Fnv1a* digest) {
+  const auto add = [digest](auto v) { digest->Bytes(&v, sizeof(v)); };
+  Rng rng(seed);
+  for (int i = 0; i < 64; ++i) {
+    add(rng.Normal());
+    add(rng.Normal(0.0, 1.5));
+    add(rng.Normal(0.5, 2.0));
+    add(rng.Normal(-3.0, 1e-3));
+    add(rng.Uniform());
+    add(rng.Uniform(-2.0, 3.0));
+    add(rng.UniformInt(0, 9));
+    add(rng.UniformInt(0, 99999));
+    add(rng.Bernoulli(0.3));
+    add(rng.Bernoulli(0.0));
+    add(rng.Bernoulli(1.5));  // clamped to 1
+  }
+  for (const int v : rng.SampleWithoutReplacement(100000, 1000).ValueOrDie()) {
+    add(v);
+  }
+  for (const int v : rng.SampleWithoutReplacement(12000, 12000).ValueOrDie()) {
+    add(v);
+  }
+  add(rng.Fork(0x7A46E7, seed).Normal(0.0, 1.5));
+  add(rng.Fork(0xC11E, seed, 3).UniformInt(1, 5));
+  const std::string state = rng.SerializeState();
+  digest->Bytes(state.data(), state.size());
+}
+
+TEST(RngTest, SamplerBitsArePinned) {
+  // Taken from the libstdc++ distributions on std::mt19937_64's stream.
+  Fnv1a digest;
+  for (uint64_t seed = 0; seed < 300; ++seed) DigestSamplers(seed, &digest);
+  EXPECT_EQ(Hex(digest.value()), "0xb764975dcd2d12c1");
+}
+
 TEST(RngTest, RestoreStateReadsStdEngineText) {
   for (const int count : kBoundaryCounts) {
     std::mt19937_64 reference(SplitMix64(static_cast<uint64_t>(count)));
@@ -455,6 +591,25 @@ TEST(SplitMix64Test, IsDeterministicAndMixes) {
   EXPECT_NE(SplitMix64(42), SplitMix64(43));
   EXPECT_NE(SplitMix64(0), 0u);
 }
+
+#if defined(_GLIBCXX_ASSERTIONS)
+// libstdc++ checks its distributions' parameters in these builds only, and
+// the samplers check the same conditions in the same builds.
+TEST(RngDeathTest, NormalRefusesNonPositiveStddev) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Normal(0.0, 0.0), "stddev > 0");
+}
+
+TEST(RngDeathTest, UniformRefusesReversedBounds) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Uniform(1.0, 0.0), "lo <= hi");
+}
+
+TEST(RngDeathTest, BernoulliRefusesNaN) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Bernoulli(std::nan("")), "p in \\[0, 1\\]");
+}
+#endif
 
 }  // namespace
 }  // namespace fedadmm
