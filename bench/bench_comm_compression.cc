@@ -14,8 +14,8 @@
 /// Output: summary table on stdout and a deterministic per-round CSV
 /// (FEDADMM_BENCH_CSV, default "bench_comm_compression.csv") with context
 /// columns preset,codec,algorithm followed by the canonical
-/// fl/history_csv round columns (wall_seconds forced to 0). Double runs
-/// diff clean: nothing host-dependent is written.
+/// fl/history_csv round columns. Double runs diff clean: no column is
+/// host-dependent.
 ///
 /// Knobs: FEDADMM_BENCH_ROUNDS, FEDADMM_BENCH_SCALE, FEDADMM_BENCH_CSV,
 /// FEDADMM_BENCH_CODECS (default "identity,fp16,q8,sq4,topk10,ef:topk10").
@@ -73,9 +73,7 @@ int main() {
   HistoryCsvWriter csv;
   const std::string csv_path =
       GetEnvString("FEDADMM_BENCH_CSV", "bench_comm_compression.csv");
-  if (!csv.Open(csv_path, {"preset", "codec", "algorithm"},
-                /*deterministic_only=*/true)
-           .ok()) {
+  if (!csv.Open(csv_path, {"preset", "codec", "algorithm"}).ok()) {
     std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
     return 1;
   }

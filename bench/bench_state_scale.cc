@@ -39,9 +39,9 @@
 ///
 /// Output: a summary table on stdout, a deterministic per-round CSV
 /// (FEDADMM_BENCH_CSV, default "bench_state_scale.csv") with a `store`
-/// context column ahead of the canonical fl/history_csv round columns
-/// (wall_seconds forced to 0) — two runs with identical knobs produce
-/// byte-identical files — and the persisted perf rail
+/// context column ahead of the canonical fl/history_csv round columns —
+/// two runs with identical knobs produce byte-identical files — and the
+/// persisted perf rail
 /// (FEDADMM_BENCH_JSON, required — no default): per-store rows
 /// with exact-gated deterministic metrics (`*_bytes`, `*_count`) plus
 /// informational pool/prefetch rates (hit/miss ordering depends on how
@@ -113,7 +113,7 @@ int main() {
   HistoryCsvWriter csv;
   const std::string csv_path =
       GetEnvString("FEDADMM_BENCH_CSV", "bench_state_scale.csv");
-  if (!csv.Open(csv_path, {"store"}, /*deterministic_only=*/true).ok()) {
+  if (!csv.Open(csv_path, {"store"}).ok()) {
     std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
     return 1;
   }

@@ -4,10 +4,10 @@
 /// counts match the published numbers, and reports per-sample CPU training
 /// cost (which motivates the scaled bench models used elsewhere).
 
+#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -33,16 +33,21 @@ void TimeModel(Model* model, const Shape& input_shape, double* fwd_ms,
   }
   // Warmup.
   model->Predict(x);
-  Stopwatch watch;
+  using Clock = std::chrono::steady_clock;
+  const auto millis_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
   const int reps = 3;
+  Clock::time_point start = Clock::now();
   for (int i = 0; i < reps; ++i) model->Predict(x);
-  *fwd_ms = watch.ElapsedMillis() / reps;
-  watch.Reset();
+  *fwd_ms = millis_since(start) / reps;
+  start = Clock::now();
   for (int i = 0; i < reps; ++i) {
     model->ZeroGrad();
     model->ForwardBackward(x, labels);
   }
-  *fwdbwd_ms = watch.ElapsedMillis() / reps;
+  *fwdbwd_ms = millis_since(start) / reps;
 }
 
 }  // namespace

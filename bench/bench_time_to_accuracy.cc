@@ -28,8 +28,8 @@
 /// Output: a summary table on stdout and a deterministic per-round CSV
 /// (FEDADMM_BENCH_CSV, default "bench_time_to_accuracy.csv") with context
 /// columns preset,policy,codec,mode,algorithm followed by the canonical
-/// fl/history_csv round columns (wall_seconds forced to 0 — identical
-/// seeds produce identical files).
+/// fl/history_csv round columns (identical seeds produce identical
+/// files).
 ///
 /// Besides stdout + CSV, the run's summary statistics land in the obs perf
 /// rail: a BENCH_time_to_accuracy.json document (FEDADMM_BENCH_JSON) with
@@ -190,8 +190,7 @@ int main() {
   HistoryCsvWriter csv;
   const std::string csv_path =
       GetEnvString("FEDADMM_BENCH_CSV", "bench_time_to_accuracy.csv");
-  if (!csv.Open(csv_path, {"preset", "policy", "codec", "mode", "algorithm"},
-                /*deterministic_only=*/true)
+  if (!csv.Open(csv_path, {"preset", "policy", "codec", "mode", "algorithm"})
            .ok()) {
     std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
     return 1;

@@ -14,11 +14,11 @@ void FederatedAlgorithm::Setup(const AlgorithmContext& ctx,
 
 void FederatedAlgorithm::BuildStateStore(const AlgorithmContext& ctx,
                                          std::vector<StateSlotSpec> slots) {
-  auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
-      std::move(slots));
+  auto store = MakeClientStateStore(
+      ctx.state_store.empty() ? DefaultStateStoreSpec() : ctx.state_store);
   FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
   store_ = std::move(store).ValueOrDie();
+  store_->Configure(ctx.num_clients, std::move(slots));
 }
 
 void FederatedAlgorithm::AddScaledDeltas(
@@ -27,7 +27,9 @@ void FederatedAlgorithm::AddScaledDeltas(
   FEDADMM_CHECK(!updates.empty());
   std::vector<std::span<const float>> deltas;
   deltas.reserve(updates.size());
-  for (const UpdateMessage& msg : updates) deltas.push_back(msg.delta);
+  for (const UpdateMessage& msg : updates) {
+    if (!msg.delta.empty()) deltas.push_back(msg.delta);
+  }
   vec::AxpyMany(step, deltas, *theta, reduce_pool_);
 }
 

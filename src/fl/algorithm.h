@@ -153,7 +153,8 @@ class FederatedAlgorithm {
 
   /// The averaging server step: θ += step · Σ Δ_i over the batch's
   /// deltas, as one blocked AxpyMany on the lent pool (bitwise the
-  /// per-message Axpy loop).
+  /// per-message Axpy loop). An empty delta — a client that uploaded
+  /// nothing — adds nothing.
   void AddScaledDeltas(float step, const std::vector<UpdateMessage>& updates,
                        std::vector<float>* theta) const;
 

@@ -45,7 +45,7 @@ const std::vector<std::string>& RoundCsvColumns() {
       new std::vector<std::string>(
           {"round", "num_selected", "train_loss", "test_accuracy",
            "test_loss", "upload_bytes", "download_bytes", "upload_bytes_raw",
-           "download_bytes_raw", "wall_seconds", "sim_seconds", "num_dropped",
+           "download_bytes_raw", "sim_seconds", "num_dropped",
            "num_admitted_partial", "staleness_mean", "staleness_max",
            "state_bytes_resident"});
   return *kColumns;
@@ -61,7 +61,6 @@ std::vector<std::string> RoundCsvRow(const RoundRecord& r) {
           FormatInt(r.download_bytes),
           FormatInt(r.upload_bytes_raw),
           FormatInt(r.download_bytes_raw),
-          FormatDouble(r.wall_seconds),
           FormatDouble(r.sim_seconds),
           FormatInt(r.num_dropped),
           FormatInt(r.num_admitted_partial),
@@ -90,7 +89,6 @@ Result<RoundRecord> RoundFromCsvRow(const std::vector<std::string>& fields) {
   FEDADMM_ASSIGN_OR_RETURN(r.download_bytes, ParseInt(fields[i++]));
   FEDADMM_ASSIGN_OR_RETURN(r.upload_bytes_raw, ParseInt(fields[i++]));
   FEDADMM_ASSIGN_OR_RETURN(r.download_bytes_raw, ParseInt(fields[i++]));
-  FEDADMM_ASSIGN_OR_RETURN(r.wall_seconds, ParseDouble(fields[i++]));
   FEDADMM_ASSIGN_OR_RETURN(r.sim_seconds, ParseDouble(fields[i++]));
   FEDADMM_ASSIGN_OR_RETURN(const int64_t dropped, ParseInt(fields[i++]));
   r.num_dropped = static_cast<int>(dropped);
@@ -104,10 +102,8 @@ Result<RoundRecord> RoundFromCsvRow(const std::vector<std::string>& fields) {
 }
 
 Status HistoryCsvWriter::Open(const std::string& path,
-                              std::vector<std::string> context_columns,
-                              bool deterministic_only) {
+                              std::vector<std::string> context_columns) {
   num_context_columns_ = context_columns.size();
-  deterministic_only_ = deterministic_only;
   FEDADMM_RETURN_IF_ERROR(writer_.Open(path));
   std::vector<std::string> header = std::move(context_columns);
   const std::vector<std::string>& round_columns = RoundCsvColumns();
@@ -122,9 +118,7 @@ Status HistoryCsvWriter::Append(const std::vector<std::string>& context,
         "HistoryCsvWriter: context field count mismatch");
   }
   std::vector<std::string> row = context;
-  RoundRecord to_write = record;
-  if (deterministic_only_) to_write.wall_seconds = 0.0;
-  std::vector<std::string> fields = RoundCsvRow(to_write);
+  std::vector<std::string> fields = RoundCsvRow(record);
   row.insert(row.end(), std::make_move_iterator(fields.begin()),
              std::make_move_iterator(fields.end()));
   return writer_.WriteRow(row);

@@ -45,12 +45,11 @@ class HistoryCsvWriter {
  public:
   /// Opens `path` and writes the header: `context_columns` followed by
   /// `RoundCsvColumns()`. An empty context list yields the plain
-  /// History::WriteCsv schema. With `deterministic_only` the host-dependent
-  /// `wall_seconds` column is written as 0, so identical seeds produce
-  /// byte-identical files — the benches' double-run diff depends on it.
+  /// History::WriteCsv schema. Every column is a function of the seed and
+  /// the inputs, so identical runs write byte-identical files — the
+  /// benches' double-run diff depends on it.
   Status Open(const std::string& path,
-              std::vector<std::string> context_columns = {},
-              bool deterministic_only = false);
+              std::vector<std::string> context_columns = {});
 
   /// Writes one row. `context` must match the opened context column count.
   Status Append(const std::vector<std::string>& context,
@@ -69,7 +68,6 @@ class HistoryCsvWriter {
  private:
   CsvWriter writer_;
   size_t num_context_columns_ = 0;
-  bool deterministic_only_ = false;
 };
 
 /// \brief Reads a CSV written with no context columns (History::WriteCsv)

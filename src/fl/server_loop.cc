@@ -15,7 +15,6 @@
 #include "state/client_state_store.h"
 #include "state/slab_log.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace fedadmm {
 namespace {
@@ -26,11 +25,11 @@ constexpr uint64_t kSelectionTag = 0x5E1EC7;
 constexpr uint64_t kInitTag = 0x1417;
 
 // Checkpoint mode tags: sync and event blobs never restore each other.
-// Tag 2 marked event blobs whose completion events still carried a
-// gradient norm; it stays retired so such a blob is refused, not misread.
-// Sync blobs hold no events, so their tag and bytes are unchanged.
-constexpr uint8_t kCheckpointSyncTag = 1;
-constexpr uint8_t kCheckpointEventTag = 3;
+// Retired tags stay retired, so an older blob is refused, not misread:
+// 1 (sync) and 3 (event) carried a wall-clock column in every history
+// record, and 2 (event) also a gradient norm in every completion event.
+constexpr uint8_t kCheckpointSyncTag = 4;
+constexpr uint8_t kCheckpointEventTag = 5;
 
 // The refusal of a run that cannot give a full-participation method (FedPD)
 // all m clients in every server step.
@@ -218,8 +217,7 @@ Result<History> ServerLoop::Run() {
   }
   if (!config_.round_trace_path.empty()) {
     // No context columns: the trace is the plain History::WriteCsv schema.
-    FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
-        config_.round_trace_path, {}, config_.round_trace_deterministic_only));
+    FEDADMM_RETURN_IF_ERROR(round_trace_.Open(config_.round_trace_path));
   }
   Result<History> history = RunLoop();
   FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
@@ -291,7 +289,6 @@ Result<History> ServerLoop::RunLoop() {
                  : std::max(1, concurrency_ / 2));
 
   int records_at_last_checkpoint = history.size();
-  Stopwatch watch;
   // One iteration per arrival, one RoundRecord per aggregation.
   while (history.size() < config_.max_rounds) {
     // The quiescent point (no arrival half-processed, no sync wave open).
@@ -335,7 +332,8 @@ Result<History> ServerLoop::RunLoop() {
                : (static_cast<int>(buffer_.size()) >= buffer_target ||
                   drops_since_aggregate_ >= concurrency_);
     if (trigger) {
-      if (FinalizeRecord(Aggregate(history.size()), &watch, &history)) break;
+      FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, Aggregate(history.size()));
+      if (FinalizeRecord(std::move(record), &history)) break;
       if (history.size() >= config_.max_rounds) break;
     }
     if (!sync()) {
@@ -458,7 +456,7 @@ void ServerLoop::Admit(ClientCompletionEvent event) {
   buffer_.push_back(std::move(event));
 }
 
-RoundRecord ServerLoop::Aggregate(int round) {
+Result<RoundRecord> ServerLoop::Aggregate(int round) {
   obs::TraceScope scope("aggregate", "engine");
   scope.set_arg("round", round);
   RoundRecord record;
@@ -484,8 +482,12 @@ RoundRecord ServerLoop::Aggregate(int round) {
     record.upload_bytes_raw += e.message.RawBytes();
     // Discount stale payloads (FedBuff/FedAsync).
     const double w = staleness_weight_(staleness);
-    FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
-                      "staleness weight must be finite and >= 0");
+    if (!(w >= 0.0 && std::isfinite(w))) {
+      return Status::InvalidArgument(
+          "Simulation: the staleness weight returned " + std::to_string(w) +
+          " at staleness " + std::to_string(staleness) +
+          "; weights must be finite and >= 0");
+    }
     if (w != 1.0) ScalePayload(static_cast<float>(w), &e.message);
   }
   record.train_loss = MeanTrainLoss(loss_sum, buffer_.size());
@@ -507,8 +509,7 @@ RoundRecord ServerLoop::Aggregate(int round) {
   return record;
 }
 
-bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
-                                History* history) {
+bool ServerLoop::FinalizeRecord(RoundRecord record, History* history) {
   obs::TraceScope scope("finalize", "engine");
   scope.set_arg("round", record.round);
   const bool evaluate = record.round == config_.max_rounds - 1 ||
@@ -520,9 +521,7 @@ bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
     record.test_accuracy = eval.accuracy;
     record.test_loss = eval.loss;
   }
-  record.wall_seconds = watch->ElapsedSeconds();
   record.state_bytes_resident = algorithm_->StateBytesResident();
-  watch->Reset();
   history->Add(record);
   if (round_trace_.is_open()) {
     const Status status = round_trace_.Append({}, record);

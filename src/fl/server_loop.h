@@ -50,7 +50,6 @@
 #include "fl/history_csv.h"
 #include "fl/simulation.h"
 #include "sys/event_queue.h"
-#include "util/stopwatch.h"
 
 namespace fedadmm {
 
@@ -107,14 +106,14 @@ class ServerLoop {
   /// Turns the aggregation buffer into record `round` — loss, byte and
   /// staleness accounting, the fates counted since the last aggregation —
   /// and applies it to θ. Clears the buffer and the pending counters.
-  RoundRecord Aggregate(int round);
+  /// Fails with InvalidArgument, θ untouched, when the staleness weight
+  /// returns a negative or non-finite value.
+  Result<RoundRecord> Aggregate(int round);
 
   /// Evaluates on the eval_every cadence (NaN sentinels otherwise),
-  /// stamps wall seconds, appends to `history` and to the opt-in round
-  /// trace, and notifies the observer. Returns `ReachedTarget(record)`
-  /// (caller stops). `watch` is restarted.
-  bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
-                      History* history);
+  /// appends to `history` and to the opt-in round trace, and notifies the
+  /// observer. Returns `ReachedTarget(record)` (caller stops).
+  bool FinalizeRecord(RoundRecord record, History* history);
 
   /// True when the record's evaluated accuracy reached the configured
   /// target: the run stops there, and a restore of it does not resume.

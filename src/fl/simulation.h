@@ -113,13 +113,10 @@ struct SimulationConfig {
   /// recorded, in the `History::WriteCsv` schema (fl/history_csv.h;
   /// `ReadHistoryCsv` parses it back). An unwritable path fails `Run`
   /// with IoError before round 0. Purely additive — the training
-  /// trajectory is bitwise identical with or without it.
+  /// trajectory is bitwise identical with or without it — and, like every
+  /// record column, a function of the seed: two runs of one seed write
+  /// byte-identical traces.
   std::string round_trace_path;
-  /// Write the round trace's `wall_seconds` column as 0 so two runs of the
-  /// same seed produce byte-identical trace files (`HistoryCsvWriter`'s
-  /// deterministic mode). Simulated-time fields are kept: they ARE
-  /// deterministic.
-  bool round_trace_deterministic_only = false;
 };
 
 /// \brief Optional per-round observer (round index, record) — benches use it

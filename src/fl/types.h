@@ -65,8 +65,6 @@ struct RoundRecord {
   /// compression factor.
   int64_t upload_bytes_raw = 0;
   int64_t download_bytes_raw = 0;
-  /// Wall-clock duration of the round (client phase + aggregation + eval).
-  double wall_seconds = 0.0;
   /// Simulated deployment time elapsed at the end of this round, from the
   /// virtual clock (src/sys). 0 when no system model is attached.
   double sim_seconds = 0.0;

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "util/shard.h"
-
 namespace fedadmm::serve {
 
 Frontend::Frontend(FrontendOptions options) : options_(std::move(options)) {}
@@ -423,15 +421,17 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
     return;
   }
 
-  // Structural validation before any queueing: dims must match the run
-  // and payload lengths must match the codec's exact wire size — byte
-  // billing is only honest if the frame is exactly the codec payload.
-  const int64_t expect1 = uplink_->WireBytes(dim_);
+  // Structural validation before any queueing: each payload is empty
+  // (dim 0, as CommPipeline bills an empty delta in process) or has the
+  // run's dim and exactly the codec's wire size — byte billing is only
+  // honest if the frame is exactly the codec payload.
+  const uint64_t dim = static_cast<uint64_t>(dim_);
   const bool dims_ok =
-      h.dim1 == static_cast<uint64_t>(dim_) &&
-      (h.dim2 == 0 || h.dim2 == static_cast<uint64_t>(dim_)) &&
+      (h.dim1 == 0 || h.dim1 == dim) && (h.dim2 == 0 || h.dim2 == dim) &&
       h.epochs_run <= 0x7FFFFFFFu && h.steps_run <= 0x7FFFFFFFu;
-  const int64_t expect2 = h.dim2 == 0 ? 0 : expect1;
+  const int64_t wire = uplink_->WireBytes(dim_);
+  const int64_t expect1 = h.dim1 == 0 ? 0 : wire;
+  const int64_t expect2 = h.dim2 == 0 ? 0 : wire;
   if (!dims_ok || static_cast<int64_t>(h.payload1_len) != expect1 ||
       static_cast<int64_t>(h.payload2_len) != expect2) {
     Poison(conn, session, Status::InvalidArgument(
@@ -492,7 +492,9 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
                                 static_cast<int64_t>(h.payload2_len);
   item.frame = std::move(owned);
 
-  const int shard = ShardOfClient(item.client, options_.num_shards);
+  // StartServing refuses num_shards < 1; client ids are dense [0, m), so
+  // modulo is balanced and keeps a client on one worker for the run.
+  const int shard = item.client % options_.num_shards;
   if (!queues_[static_cast<size_t>(shard)]->TryPush(std::move(item))) {
     // Backpressure: un-claim and tell the client to retry. Nothing is
     // silently dropped — the client owns the retry loop.
@@ -511,9 +513,11 @@ void Frontend::HandleUpdate(Connection* conn, SessionState* session,
 
 Status Frontend::DecodeItem(const ShardItem& item, UpdateMessage* msg) const {
   const UpdateFrameHeader& h = item.body.header;
-  FEDADMM_ASSIGN_OR_RETURN(
-      msg->delta, uplink_->TryDecode(item.body.payload1, h.payload1_len,
-                                     static_cast<int64_t>(h.dim1)));
+  if (h.dim1 != 0) {
+    FEDADMM_ASSIGN_OR_RETURN(
+        msg->delta, uplink_->TryDecode(item.body.payload1, h.payload1_len,
+                                       static_cast<int64_t>(h.dim1)));
+  }
   if (h.dim2 != 0) {
     FEDADMM_ASSIGN_OR_RETURN(
         msg->delta2, uplink_->TryDecode(item.body.payload2, h.payload2_len,

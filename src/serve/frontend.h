@@ -16,8 +16,8 @@
 ///      never abort the server), validate session/round/dims/payload
 ///      sizes, mirror the straggler policy as a connection-level predicate
 ///      (the per-client `StragglerPolicy::Judge` the loop will apply
-///      again), then hand the frame to its ingest worker
-///      (`ShardOfClient`) through a bounded lock-free ingest queue. A full
+///      again), then hand the frame to its ingest worker (client mod
+///      `num_shards`) through a bounded lock-free ingest queue. A full
 ///      queue is backpressure: the client gets ACK(THROTTLED,
 ///      retry_after) and resends — uploads are never silently dropped;
 ///   3. ingest workers decode each payload exactly once (zero-copy views
@@ -65,8 +65,8 @@ namespace fedadmm::serve {
 
 /// \brief Frontend knobs.
 struct FrontendOptions {
-  /// Ingest workers, each with its own queue. `ShardOfClient` routes a
-  /// client's uploads to one of them; the engine itself is unsharded.
+  /// Ingest workers, each with its own queue; client c's uploads go to
+  /// worker c mod `num_shards`. The engine itself is unsharded.
   int num_shards = 1;
   /// Per-shard ingest queue capacity (rounded up to a power of two). The
   /// backpressure knob: smaller queues throttle earlier.

@@ -207,7 +207,12 @@ Status LoadGenerator::SendUpdate(int client, int round,
   // Encode with the client-side codec twin. Stream ids mirror the
   // engine's convention (2·client, 2·client+1); stateless codecs ignore
   // them, and only stateless codecs are allowed here (parallel encode).
-  const Payload payload1 = uplink_->Encode(2 * client, msg.delta, nullptr);
+  // An empty delta (FedPD between aggregations) goes out as an empty
+  // payload, as the engine bills it in process.
+  Payload payload1;
+  if (!msg.delta.empty()) {
+    payload1 = uplink_->Encode(2 * client, msg.delta, nullptr);
+  }
   Payload payload2;
   if (!msg.delta2.empty()) {
     payload2 = uplink_->Encode(2 * client + 1, msg.delta2, nullptr);

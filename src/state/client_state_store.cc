@@ -100,15 +100,4 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
   return SpecError(spec, "unknown spec");
 }
 
-Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
-    const std::string& override_spec, const std::string& fallback_spec,
-    int num_clients, std::vector<StateSlotSpec> slots) {
-  const std::string& spec =
-      override_spec.empty() ? fallback_spec : override_spec;
-  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<ClientStateStore> store,
-                           MakeClientStateStore(spec));
-  store->Configure(num_clients, std::move(slots));
-  return {std::move(store)};
-}
-
 }  // namespace fedadmm

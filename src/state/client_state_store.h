@@ -148,14 +148,6 @@ class ClientStateStore {
 Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     const std::string& spec);
 
-/// \brief Resolves the effective spec (`override_spec` when non-empty, the
-/// algorithm's `fallback_spec` otherwise), builds the store and runs
-/// `Configure` — the one code path every stateful algorithm's Setup uses,
-/// so spec resolution and error handling cannot drift between them.
-Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
-    const std::string& override_spec, const std::string& fallback_spec,
-    int num_clients, std::vector<StateSlotSpec> slots);
-
 }  // namespace fedadmm
 
 #endif  // FEDADMM_STATE_CLIENT_STATE_STORE_H_

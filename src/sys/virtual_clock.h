@@ -1,14 +1,13 @@
 /// \file virtual_clock.h
 /// \brief Simulated-time accounting for federated rounds.
 ///
-/// `RoundRecord::wall_seconds` measures the host machine, which says nothing
-/// about deployment time: a simulator crunches a straggler's 10 epochs as
-/// fast as a flagship's. Simulated time instead derives each client's
-/// round duration from its `ClientSystemProfile` — download, compute at
-/// `steps_per_second`, upload; the engine (fl/server_loop.h) schedules the
-/// client's arrival at its dispatch time plus the straggler policy's
-/// finish time. Pure arithmetic: bitwise deterministic and free of
-/// host-speed effects.
+/// Host wall time says nothing about deployment time: a simulator crunches
+/// a straggler's 10 epochs as fast as a flagship's. Simulated time instead
+/// derives each client's round duration from its `ClientSystemProfile` —
+/// download, compute at `steps_per_second`, upload; the engine
+/// (fl/server_loop.h) schedules the client's arrival at its dispatch time
+/// plus the straggler policy's finish time. Pure arithmetic: bitwise
+/// deterministic and free of host-speed effects.
 
 #ifndef FEDADMM_SYS_VIRTUAL_CLOCK_H_
 #define FEDADMM_SYS_VIRTUAL_CLOCK_H_

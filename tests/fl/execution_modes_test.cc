@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/codec.h"
@@ -211,6 +213,34 @@ TEST(ExecutionModeTest, StalenessWeightChangesTrajectory) {
   for (int i = 0; i < constant.history.size(); ++i) {
     EXPECT_EQ(constant.history.records()[static_cast<size_t>(i)].sim_seconds,
               damped.history.records()[static_cast<size_t>(i)].sim_seconds);
+  }
+}
+
+TEST(ExecutionModeTest, InvalidStalenessWeightFailsRun) {
+  // A weight is caller code: a NaN, infinite or negative discount of a
+  // stale arrival ends Run with InvalidArgument, not a CHECK abort.
+  const SystemModel model = CellularModel(12);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.5}) {
+    SCOPED_TRACE(bad);
+    QuadraticProblem problem(Spec());
+    FedAdmm algo(Options());
+    UniformFractionSelector selector(12, 0.5);
+    SimulationConfig config;
+    config.max_rounds = 24;
+    config.mode = ExecutionMode::kBuffered;
+    config.staleness_weight = [bad](int staleness) {
+      return staleness > 0 ? bad : 1.0;
+    };
+    Simulation sim(&problem, &algo, &selector, config);
+    sim.set_system_model(&model);
+    const Status status = sim.Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    const std::string weight = "weight returned " + std::to_string(bad);
+    EXPECT_NE(status.message().find(weight), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("at staleness "), std::string::npos)
+        << status.message();
   }
 }
 

@@ -31,7 +31,6 @@ RoundRecord SampleRecord(int round) {
   r.download_bytes = 987654321;
   r.upload_bytes_raw = 223456789012345LL;
   r.download_bytes_raw = 1987654321;
-  r.wall_seconds = 0.03125;
   r.sim_seconds = 7234.5678901234567;
   r.num_dropped = 3;
   r.num_admitted_partial = 1;
@@ -56,7 +55,6 @@ void ExpectRecordsEqual(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.download_bytes, b.download_bytes);
   EXPECT_EQ(a.upload_bytes_raw, b.upload_bytes_raw);
   EXPECT_EQ(a.download_bytes_raw, b.download_bytes_raw);
-  EXPECT_TRUE(Same(a.wall_seconds, b.wall_seconds));
   EXPECT_TRUE(Same(a.sim_seconds, b.sim_seconds));
   EXPECT_EQ(a.num_dropped, b.num_dropped);
   EXPECT_EQ(a.num_admitted_partial, b.num_admitted_partial);

@@ -174,7 +174,6 @@ TEST(SimulationTest, TrainLossIsFiniteEveryRound) {
   ASSERT_TRUE(history.ok());
   for (const RoundRecord& r : history->records()) {
     EXPECT_TRUE(std::isfinite(r.train_loss));
-    EXPECT_GE(r.wall_seconds, 0.0);
   }
 }
 

@@ -3,7 +3,8 @@
 // byte ledgers, simulated time, drops — to the same run executed
 // in-process. Covered here for the loopback transport (FedAvg + q8 both
 // ways + deadline-drop stragglers over two ingest workers; SCAFFOLD's
-// two-payload uploads with and without a codec) and for real TCP via
+// two-payload uploads with and without a codec; FedPD's empty uploads
+// between aggregations under a q8 uplink) and for real TCP via
 // SocketTransport, plus double-run determinism of the frontend's byte
 // ledger and an ingest latency sample for every acknowledged upload.
 
@@ -18,6 +19,7 @@
 
 #include "comm/codec.h"
 #include "fl/algorithms/fedavg.h"
+#include "fl/algorithms/fedpd.h"
 #include "fl/algorithms/scaffold.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
@@ -66,9 +68,12 @@ SystemModel DeadlineModel() {
 /// What the run is made of: which algorithm, which codecs, which model.
 struct RunSpec {
   bool scaffold = false;
+  bool fedpd = false;
   std::string uplink_spec;    // empty = raw fp32 uploads
   std::string downlink_spec;  // empty = raw θ broadcast
   bool system_model = false;
+  int rounds = kRounds;
+  double collect_timeout_seconds = 60.0;
 };
 
 struct RunResult {
@@ -78,9 +83,9 @@ struct RunResult {
   obs::HistogramStats ingest_latency;  // empty for in-process runs
 };
 
-SimulationConfig Config() {
+SimulationConfig Config(int rounds = kRounds) {
   SimulationConfig config;
-  config.max_rounds = kRounds;
+  config.max_rounds = rounds;
   config.seed = kSeed;
   config.num_threads = kThreads;
   return config;
@@ -90,14 +95,22 @@ std::unique_ptr<FederatedAlgorithm> MakeAlgo(const RunSpec& setup) {
   if (setup.scaffold) {
     return std::make_unique<Scaffold>(Local());
   }
+  if (setup.fedpd) {
+    return std::make_unique<FedPd>(Local(), 0.5f, /*comm_probability=*/0.5);
+  }
   return std::make_unique<FedAvg>(Local());
+}
+
+std::unique_ptr<ClientSelector> MakeSelector(const RunSpec& setup) {
+  if (setup.fedpd) return std::make_unique<FullParticipationSelector>(kClients);
+  return std::make_unique<UniformFractionSelector>(kClients, 0.5);
 }
 
 RunResult RunInProcess(const RunSpec& setup) {
   QuadraticProblem problem(Spec());
   auto algo = MakeAlgo(setup);
-  UniformFractionSelector selector(kClients, 0.5);
-  Simulation sim(&problem, algo.get(), &selector, Config());
+  auto selector = MakeSelector(setup);
+  Simulation sim(&problem, algo.get(), selector.get(), Config(setup.rounds));
   SystemModel model = DeadlineModel();
   if (setup.system_model) sim.set_system_model(&model);
   std::unique_ptr<UpdateCodec> uplink;
@@ -119,8 +132,8 @@ RunResult RunInProcess(const RunSpec& setup) {
 RunResult RunServed(const RunSpec& setup, Transport* transport) {
   QuadraticProblem problem(Spec());
   auto algo = MakeAlgo(setup);
-  UniformFractionSelector selector(kClients, 0.5);
-  Simulation sim(&problem, algo.get(), &selector, Config());
+  auto selector = MakeSelector(setup);
+  Simulation sim(&problem, algo.get(), selector.get(), Config(setup.rounds));
   SystemModel model = DeadlineModel();
   if (setup.system_model) sim.set_system_model(&model);
 
@@ -144,7 +157,7 @@ RunResult RunServed(const RunSpec& setup, Transport* transport) {
 
   FrontendOptions options;
   options.num_shards = kShards;
-  options.collect_timeout_seconds = 60.0;
+  options.collect_timeout_seconds = setup.collect_timeout_seconds;
   options.uplink_codec = uplink.get();
   if (setup.system_model) options.system_model = &model;
   Frontend frontend(options);
@@ -192,6 +205,8 @@ void ExpectIdenticalRuns(const RunResult& served, const RunResult& local) {
     EXPECT_TRUE(SameMetric(rs.test_accuracy, rl.test_accuracy)) << i;
     EXPECT_EQ(rs.upload_bytes, rl.upload_bytes) << i;
     EXPECT_EQ(rs.download_bytes, rl.download_bytes) << i;
+    EXPECT_EQ(rs.upload_bytes_raw, rl.upload_bytes_raw) << i;
+    EXPECT_EQ(rs.download_bytes_raw, rl.download_bytes_raw) << i;
     EXPECT_EQ(rs.sim_seconds, rl.sim_seconds) << i;
     EXPECT_EQ(rs.num_dropped, rl.num_dropped) << i;
   }
@@ -240,6 +255,29 @@ TEST(FrontendEquivalenceTest, LoopbackScaffoldTwoPayloadsIdentityCodec) {
   LoopbackTransport transport;
   const RunResult served = RunServed(setup, &transport);
   ExpectIdenticalRuns(served, local);
+}
+
+TEST(FrontendEquivalenceTest, LoopbackFedPdEmptyUploadsQuantized) {
+  // FedPD uploads nothing between aggregations: an empty delta travels as
+  // an empty payload (dim 0), billed 0 bytes as in process. A short
+  // collect timeout makes a refused empty upload fail in seconds.
+  RunSpec setup;
+  setup.fedpd = true;
+  setup.uplink_spec = "q8";
+  setup.rounds = 8;
+  setup.collect_timeout_seconds = 5.0;
+  const RunResult local = RunInProcess(setup);
+  int silent_rounds = 0;
+  for (const RoundRecord& r : local.history.records()) {
+    if (r.upload_bytes == 0) ++silent_rounds;
+  }
+  ASSERT_GT(silent_rounds, 0) << "no non-communication round to serve";
+  ASSERT_LT(silent_rounds, setup.rounds) << "no aggregation round to serve";
+  LoopbackTransport transport;
+  const RunResult served = RunServed(setup, &transport);
+  ExpectIdenticalRuns(served, local);
+  EXPECT_EQ(served.ledger.decode_errors, 0);
+  EXPECT_EQ(served.ledger.malformed_frames, 0);
 }
 
 TEST(FrontendEquivalenceTest, SocketTransportMatchesBitwise) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "comm/codec.h"
+#include "fl/algorithms/fedavg.h"
 #include "fl/round_context.h"
 #include "serve/frame.h"
 #include "serve/frontend.h"
@@ -359,6 +360,46 @@ TEST(MalformedFrameFuzzTest, HealthyRoundCompletesAfterFuzzing) {
   EXPECT_EQ(ledger.acks_accepted, kNumClients);
   EXPECT_EQ(ledger.malformed_frames, 4);
   EXPECT_EQ(ledger.peak_sessions, kNumClients);
+}
+
+TEST(MalformedFrameFuzzTest, EmptyUploadIsAZeroUpdate) {
+  // An UPDATE may carry an empty payload (dim 0, no bytes), as FedPD's do
+  // between aggregations. The averaging step every method but SCAFFOLD's
+  // control update goes through must count it as a zero update, not reach
+  // the reduce's size CHECK: here client 3 sends no delta.
+  Server server;
+  std::vector<std::unique_ptr<ClientChannel>> channels;
+  for (int client = 0; client < kNumClients; ++client) {
+    auto channel = server.transport.Connect().ValueOrDie();
+    const uint64_t session =
+        Hello(channel.get(), static_cast<uint32_t>(client));
+    UpdateFrameHeader empty;  // dim 0, no payload bytes
+    empty.steps_run = 10;
+    const std::vector<float> delta = {float(client), 1.0f, -1.0f, 0.5f};
+    const std::vector<uint8_t> frame =
+        client == 3 ? BuildUpdateFrame(session, empty, nullptr, nullptr)
+                    : RawUpdateFrame(session, 0, delta);
+    ASSERT_TRUE(channel->Send(frame).ok());
+    ExpectFrame(channel.get(), FrameType::kAck);
+    channels.push_back(std::move(channel));
+  }
+  auto wave = server.frontend->CollectWave(0);
+  ASSERT_TRUE(wave.ok()) << wave.status().message();
+  ASSERT_TRUE((*wave)[3].delta.empty());
+  std::vector<UpdateMessage> zeroed = *wave;
+  zeroed[3].delta.assign(static_cast<size_t>(kDim), 0.0f);
+
+  AlgorithmContext ctx;
+  ctx.num_clients = kNumClients;
+  ctx.dim = kDim;
+  const std::vector<float> theta0(static_cast<size_t>(kDim), 0.25f);
+  FedAvg algo{LocalTrainSpec()};
+  algo.Setup(ctx, theta0);
+  std::vector<float> served = theta0;
+  algo.ServerUpdate(*wave, 0, &served);
+  std::vector<float> zero_update = theta0;
+  algo.ServerUpdate(zeroed, 0, &zero_update);
+  EXPECT_EQ(served, zero_update);
 }
 
 TEST(MalformedFrameFuzzTest, HostileScriptLedgerIsDeterministic) {

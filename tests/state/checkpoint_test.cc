@@ -4,8 +4,9 @@
 // queue), finished runs extend to a larger budget in every mode, a
 // SIGKILLed child recovers from its last committed group (also under
 // stateless codecs), and a torn or corrupt tail falls back to the previous
-// group instead of replaying garbage. Also pins the bytes of the completion
-// events and the algorithm extras inside a checkpoint, and checks that a
+// group instead of replaying garbage. Also pins the bytes of whole
+// checkpoint logs, of the completion events and of the algorithm extras
+// inside a checkpoint, refuses retired format tags, and checks that a
 // restore into a store of another geometry is refused before it touches
 // the store.
 
@@ -120,7 +121,7 @@ bool SameMetric(double a, double b) {
   return (std::isnan(a) && std::isnan(b)) || a == b;
 }
 
-// Wall-clock fields aside, every deterministic field must match bitwise.
+// Every compared field must match bitwise.
 void ExpectIdenticalTrajectories(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.theta, b.theta);
   ASSERT_EQ(a.history.size(), b.history.size());
@@ -663,31 +664,102 @@ TEST(CheckpointTest, CheckpointFromLargerFleetIsRejected) {
   }
 }
 
-TEST(CheckpointTest, OlderEventFormatTagIsRejected) {
-  // Event blobs from before completion events dropped their gradient norm
-  // carry mode tag 2. Restoring one must fail at the tag, before any event
-  // is decoded under the current encoding.
-  const std::string path = TempPath("ckpt_old_event_tag.slab");
-  RemoveFileIfExists(path);
-  auto writer = MakeAlgo("FedADMM");
-  ASSERT_TRUE(RunBufferedFleet(writer.get(), kClients, path, false).ok());
+// Appends a copy of the newest committed group of `path` whose engine blob
+// carries mode tag `tag`, so the next restore reads that tag.
+void AppendRetaggedGroup(const std::string& path, uint8_t tag) {
   const SimulationCheckpoint latest =
       LoadLatestSimulationCheckpoint(path).ValueOrDie();
   std::string blob = latest.engine_blob;
   ASSERT_FALSE(blob.empty());
-  blob[0] = 2;
+  blob[0] = static_cast<char>(tag);
+  auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+  const Status appended =
+      AppendSimulationCheckpoint(log.get(), latest.round, blob, nullptr);
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+}
+
+TEST(CheckpointTest, OlderFormatTagsAreRejected) {
+  // Retired mode tags: sync tag 1 and event tag 3 blobs carry a wall-clock
+  // column in every history record, and event tag 2 blobs also a gradient
+  // norm in every completion event. Restoring one must fail at the tag,
+  // before any record or event is decoded under the current layout.
+  const std::string path = TempPath("ckpt_old_tag.slab");
+  const auto expect_refused = [](const Status& status) {
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("checkpoint format"), std::string::npos)
+        << status.message();
+  };
   {
-    auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
-    const Status appended =
-        AppendSimulationCheckpoint(log.get(), latest.round, blob, nullptr);
-    ASSERT_TRUE(appended.ok()) << appended.ToString();
+    SCOPED_TRACE("sync tag 1");
+    RemoveFileIfExists(path);
+    RunSyncOnce("FedADMM", kHalf, path, /*restore=*/false);
+    ASSERT_NO_FATAL_FAILURE(AppendRetaggedGroup(path, 1));
+    QuadraticProblem problem(Spec());
+    auto algo = MakeAlgo("FedADMM");
+    auto selector = MakeSelector("FedADMM");
+    SimulationConfig config;
+    config.max_rounds = kRounds;
+    config.seed = 33;
+    config.checkpoint_path = path;
+    config.restore_from_checkpoint = true;
+    Simulation sim(&problem, algo.get(), selector.get(), config);
+    expect_refused(sim.Run().status());
   }
-  auto reader = MakeAlgo("FedADMM");
-  const Status status = RunBufferedFleet(reader.get(), kClients, path, true);
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_NE(status.message().find("checkpoint format"), std::string::npos)
-      << status.message();
+  for (const uint8_t tag : {2, 3}) {
+    SCOPED_TRACE("event tag " + std::to_string(tag));
+    RemoveFileIfExists(path);
+    auto writer = MakeAlgo("FedADMM");
+    ASSERT_TRUE(RunBufferedFleet(writer.get(), kClients, path, false).ok());
+    ASSERT_NO_FATAL_FAILURE(AppendRetaggedGroup(path, tag));
+    auto reader = MakeAlgo("FedADMM");
+    expect_refused(RunBufferedFleet(reader.get(), kClients, path, true));
+  }
   RemoveFileIfExists(path);
+}
+
+// The bytes of the checkpoint log `run` writes at `path`, read back whole.
+template <typename Run>
+std::string CheckpointLogBytes(const std::string& path, const Run& run) {
+  RemoveFileIfExists(path);
+  run(path);
+  std::string bytes;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char chunk[8192];
+    size_t n = 0;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+      bytes.append(chunk, n);
+    }
+    std::fclose(f);
+  }
+  RemoveFileIfExists(path);
+  return bytes;
+}
+
+TEST(CheckpointTest, LogBytesAreReproducibleAndPinned) {
+  // A checkpoint log is a function of the seed and the inputs alone, so
+  // one seed writes one file in every mode, and a whole-log digest pins
+  // the format (engine tags 4 and 5): a layout change must take new tags
+  // and re-pin.
+  const auto sync_run = [](const std::string& path) {
+    RunSyncOnce("FedADMM", kHalf, path, /*restore=*/false);
+  };
+  const auto buffered_run = [](const std::string& path) {
+    RunBufferedOnce(kHalf, path, /*restore=*/false);
+  };
+  const std::string path = TempPath("ckpt_log_bytes.slab");
+  const std::string sync_log = CheckpointLogBytes(path, sync_run);
+  const std::string buffered_log = CheckpointLogBytes(path, buffered_run);
+  ASSERT_FALSE(sync_log.empty());
+  ASSERT_FALSE(buffered_log.empty());
+  EXPECT_TRUE(sync_log == CheckpointLogBytes(path, sync_run));
+  EXPECT_TRUE(buffered_log == CheckpointLogBytes(path, buffered_run));
+  const auto digest = [](const std::string& bytes) {
+    Fnv1a hash;
+    hash.Bytes(bytes.data(), bytes.size());
+    return Hex(hash.value());
+  };
+  EXPECT_EQ(digest(sync_log), "0xb650d16cc1a6ad41") << sync_log.size();
+  EXPECT_EQ(digest(buffered_log), "0x17736fdf2d985c50") << buffered_log.size();
 }
 
 TEST(CheckpointTest, CodecRunsRejectCheckpointing) {
